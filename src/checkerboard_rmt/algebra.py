@@ -20,7 +20,6 @@ __all__ = [
     "HermitianMatrix",
     "quat_multiply",
     "quat_conjugate",
-    "quat_abs2",
     "conjugate_transpose",
     "complex_embed",
 ]
@@ -75,12 +74,6 @@ def quat_conjugate(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] = -out[..., 1:]
     return out
-
-
-def quat_abs2(a: np.ndarray) -> np.ndarray:
-    """Squared norm, summed over the component axis."""
-    a = np.asarray(a, dtype=float)
-    return np.sum(a * a, axis=-1)
 
 
 def infer_algebra(data: np.ndarray) -> DivisionAlgebra:

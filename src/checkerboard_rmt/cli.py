@@ -22,7 +22,7 @@ from ._parallel import parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_batch
-from .exceptions import ParameterError, RegimeOverlapError
+from .exceptions import EnumerationBudgetError, ParameterError, RegimeOverlapError
 from .moments import (
     alternating_binomial_sum,
     average_trial_moments,
@@ -96,6 +96,12 @@ _FLAG_TO_FIELD = {
     "format": "fmt",
 }
 
+_FIELD_TYPES = dict(
+    k=int, dim=int, w=float, algebra=str, dist=str, trials=int, g=int, n=int, m=int,
+    max_m=int, bins=int, exponent=float, seed=int, out=Path, fmt=str,
+)
+_OPTIONAL_FIELDS = ("g", "n", "m")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -142,24 +148,15 @@ def resolve_config(command: str, cli_values: dict, file_values: "dict | None" = 
             merged[field] = value
     if merged["out"] is None:
         merged["out"] = Path("results") / command
-    return ExperimentConfig(
-        command=command,
-        k=int(merged["k"]),
-        dim=int(merged["dim"]),
-        w=float(merged["w"]),
-        algebra=str(merged["algebra"]),
-        dist=str(merged["dist"]),
-        trials=int(merged["trials"]),
-        g=None if merged["g"] is None else int(merged["g"]),
-        n=None if merged["n"] is None else int(merged["n"]),
-        m=None if merged["m"] is None else int(merged["m"]),
-        max_m=int(merged["max_m"]),
-        bins=int(merged["bins"]),
-        exponent=float(merged["exponent"]),
-        seed=int(merged["seed"]),
-        out=Path(merged["out"]),
-        fmt=str(merged["fmt"]),
-    )
+    values = {}
+    for field, kind in _FIELD_TYPES.items():
+        value = merged[field]
+        try:
+            values[field] = None if value is None and field in _OPTIONAL_FIELDS else kind(value)
+        except (TypeError, ValueError):
+            key = next(flag for flag, name in _FLAG_TO_FIELD.items() if name == field)
+            raise ParameterError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+    return ExperimentConfig(command=command, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CLI_FIELDS = (
-    "k", "dim", "w", "algebra", "dist", "trials", "g", "n", "m",
-    "max_m", "bins", "exponent", "seed", "out", "fmt",
-)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -560,10 +551,10 @@ def main(argv=None) -> int:
             file_values = json.loads(Path(args.config).read_text())
             if not isinstance(file_values, dict):
                 raise ParameterError(f"config file {args.config} must hold a JSON object")
-        cli_values = {field: getattr(args, field) for field in _CLI_FIELDS}
+        cli_values = {field: getattr(args, field) for field in _FIELD_TYPES}
         config = resolve_config(args.command, cli_values, file_values)
         return run(config)
-    except (ParameterError, OSError, json.JSONDecodeError) as exc:
+    except (ParameterError, EnumerationBudgetError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,12 @@
 
 The centered limit of the blip measure's m-th moment equals the m-th spectral
 moment of the k x k hollow Gaussian ensemble, (1/k) E tr B^m.  For real and
-complex entries that expectation is computed exactly here by enumerating the
-closed index walks of tr B^m and scoring each by its Gaussian pairing count;
-for quaternions the oracle falls back to Monte Carlo.
+complex entries that expectation is computed exactly by one walker over the
+closed index walks of tr B^m, labelled in order of first visit; a per-algebra
+rule scores each walk by its Gaussian pairing count.  For quaternions the
+oracle falls back to Monte Carlo.  The per-matrix binomial trace expansion
+takes its traces of matrix powers in exact integer arithmetic, after scaling
+the dyadic float entries by a common power of two.
 """
 
 from __future__ import annotations
@@ -123,123 +126,58 @@ def alternating_binomial_sum(m: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _double_factorials(limit: int) -> list:
-    df = [0] * (limit + 1)
-    df[0] = 1
-    for c in range(2, limit + 1, 2):
-        df[c] = df[c - 2] * (c - 1)
-    return df
-
-
-def _wick_walk_sum_real(k: int, m: int) -> int:
-    """E tr B^m over the k x k hollow GOE, as an exact integer.
-
-    Sums over closed index walks of length m with no self-loops; a walk scores
-    the number of ways to pair its entries with equal unordered index pairs,
-    (c-1)!! per edge traversed c times, zero unless every count is even.
-    Scores depend only on the walk's equality pattern, so the first two
-    vertices are fixed and the result scaled by k(k-1).
-    """
-    if m == 0:
-        return k
-    if k == 1 or m == 1:
-        return 0
-    df = _double_factorials(m)
-    counts: dict = {}
-
-    def walk(pos: int, prev: int, odd: int) -> int:
-        remaining = m - pos + 1  # edges still to place, the closing one included
-        if odd > remaining or (odd ^ remaining) & 1:
-            return 0
-        if pos == m:
-            if prev == 0:
-                return 0  # closing entry would sit on the zero diagonal
-            c = counts.get((0, prev), 0)
-            if c % 2 == 0 or odd != 1:
-                return 0
-            counts[(0, prev)] = c + 1
-            score = 1
-            for cc in counts.values():
-                score *= df[cc]
-            counts[(0, prev)] = c
-            return score
-        acc = 0
-        for nxt in range(k):
-            if nxt == prev:
-                continue
-            edge = (prev, nxt) if prev < nxt else (nxt, prev)
-            c = counts.get(edge, 0)
-            counts[edge] = c + 1
-            acc += walk(pos + 1, nxt, odd + (1 if c % 2 == 0 else -1))
-            if c:
-                counts[edge] = c
-            else:
-                del counts[edge]
-        return acc
-
-    counts[(0, 1)] = 1
-    return k * (k - 1) * walk(2, 1, 1)
-
-
-def _wick_walk_sum_complex(k: int, m: int) -> int:
-    """E tr B^m over the k x k hollow GUE, as an exact integer.
-
-    Entries are circular complex Gaussians, so only pairings of an entry with
-    its conjugate contribute: an edge traversed p times in each direction
-    scores p!, and any direction imbalance kills the walk.
-    """
-    if m == 0:
-        return k
-    if k == 1 or m == 1:
-        return 0
-    fact = [math.factorial(i) for i in range(m // 2 + 1)]
-    state: dict = {}  # edge -> [total traversals, low-to-high minus high-to-low]
-
-    def walk(pos: int, prev: int, imbalance: int) -> int:
-        remaining = m - pos + 1
-        if imbalance > remaining or (imbalance ^ remaining) & 1:
-            return 0
-        if pos == m:
-            if prev == 0:
-                return 0
-            st = state.get((0, prev))
-            # closing traversal runs high-to-low, so the edge must carry net +1
-            if st is None or st[1] != 1 or imbalance != 1:
-                return 0
-            st[0] += 1
-            score = 1
-            for total, _net in state.values():
-                score *= fact[total // 2]
-            st[0] -= 1
-            return score
-        acc = 0
-        for nxt in range(k):
-            if nxt == prev:
-                continue
-            edge = (prev, nxt) if prev < nxt else (nxt, prev)
-            sign = 1 if prev < nxt else -1
-            st = state.setdefault(edge, [0, 0])
-            old_net = st[1]
-            st[0] += 1
-            st[1] += sign
-            acc += walk(pos + 1, nxt, imbalance - abs(old_net) + abs(st[1]))
-            st[0] -= 1
-            st[1] = old_net
-            if st[0] == 0:
-                del state[edge]
-        return acc
-
-    state[(0, 1)] = [1, 1]
-    return k * (k - 1) * walk(2, 1, 1)
+# Per-edge Wick rules, keyed by algebra, on an edge's traversal counts
+# (f low-to-high, b high-to-low).  deficit: how many more traversals the edge
+# needs before it can be fully paired; score: the number of such pairings.
+_WICK_RULES = {
+    DivisionAlgebra.REAL: (
+        lambda f, b: (f + b) & 1,
+        lambda f, b: 0 if (f + b) & 1 else math.prod(range(f + b - 1, 0, -2)),
+    ),
+    DivisionAlgebra.COMPLEX: (
+        lambda f, b: abs(f - b),
+        lambda f, b: math.factorial(f) if f == b else 0,
+    ),
+}
 
 
 @lru_cache(maxsize=None)
 def _exact_hollow_trace_moment(k: int, m: int, algebra: DivisionAlgebra) -> int:
-    if algebra is DivisionAlgebra.REAL:
-        return _wick_walk_sum_real(k, m)
-    if algebra is DivisionAlgebra.COMPLEX:
-        return _wick_walk_sum_complex(k, m)
-    raise ParameterError("exact enumeration covers real and complex entries only")
+    """E tr B^m over the k x k hollow GOE or GUE, as an exact integer.
+
+    Sums over closed index walks of length m with no self-loops; a walk scores
+    the number of ways to pair each entry with an equal one (real: the same
+    unordered index pair, (c-1)!! per edge traversed c times) or with its
+    conjugate (complex: p! per edge traversed p times each way).  Scores depend
+    only on the walk's equality pattern, so vertices are labelled in order of
+    first visit and each new label stands for the k - used unvisited indices.
+    """
+    if m % 2:
+        return 0  # the deficits sum to m mod 2, so some edge stays unpaired
+    deficit, score = _WICK_RULES[algebra]
+    counts: dict = {}  # (low, high) -> (forward, backward) traversal counts
+
+    def walk(pos: int, prev: int, used: int, short: int) -> int:
+        remaining = m - pos
+        if remaining == 0:
+            return math.prod(score(f, b) for f, b in counts.values())
+        acc = 0
+        for nxt in range(min(used + 1, k)) if remaining > 1 else (0,):  # the last step closes the walk
+            if nxt == prev:
+                continue
+            edge = (prev, nxt) if prev < nxt else (nxt, prev)
+            old = counts.get(edge, (0, 0))
+            new = (old[0] + 1, old[1]) if prev < nxt else (old[0], old[1] + 1)
+            after = short - deficit(*old) + deficit(*new)
+            if after >= remaining:
+                continue  # each later step closes at most one unit of deficit
+            counts[edge] = new
+            branch = walk(pos + 1, nxt, used + (nxt == used), after)
+            acc += branch if nxt < used else (k - used) * branch
+            counts[edge] = old  # an untraversed (0, 0) edge has deficit 0 and scores 1
+        return acc
+
+    return k * walk(0, 0, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -345,60 +283,29 @@ def blip_limit_moment(
 # ---------------------------------------------------------------------------
 
 
-def _exact_entry_grid(matrix: HermitianMatrix) -> list:
-    """Matrix entries as tuples of Fractions (floats convert exactly)."""
-    n = matrix.dim
-    if matrix.algebra is DivisionAlgebra.REAL:
-        return [[(Fraction(matrix.data[i, j]),) for j in range(n)] for i in range(n)]
-    if matrix.algebra is DivisionAlgebra.COMPLEX:
-        return [
-            [(Fraction(matrix.data[i, j].real), Fraction(matrix.data[i, j].imag)) for j in range(n)] for i in range(n)
-        ]
-    return [[tuple(Fraction(c) for c in matrix.data[i, j]) for j in range(n)] for i in range(n)]
-
-
-def _scalar_mul(a: tuple, b: tuple) -> tuple:
-    if len(a) == 1:
-        return (a[0] * b[0],)
-    if len(a) == 2:
-        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-    ar, ai, aj, ak = a
-    br, bi, bj, bk = b
-    return (
-        ar * br - ai * bi - aj * bj - ak * bk,
-        ar * bi + ai * br + aj * bk - ak * bj,
-        ar * bj - ai * bk + aj * br + ak * bi,
-        ar * bk + ai * bj - aj * bi + ak * br,
-    )
-
-
 def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
-    """[tr A^0, ..., tr A^max_power] over exact rational arithmetic."""
-    n = matrix.dim
-    ncomp = matrix.algebra.components
-    grid = _exact_entry_grid(matrix)
-    zero = (Fraction(0),) * ncomp
-    traces = [Fraction(n)]
-    power = None
-    for _ in range(max_power):
-        if power is None:
-            power = grid
-        else:
-            nxt = [[zero] * n for _ in range(n)]
-            for i in range(n):
-                row = power[i]
-                out_row = nxt[i]
-                for l in range(n):
-                    a = row[l]
-                    if all(c == 0 for c in a):
-                        continue
-                    other = grid[l]
-                    for j in range(n):
-                        prod = _scalar_mul(a, other[j])
-                        cur = out_row[j]
-                        out_row[j] = tuple(x + y for x, y in zip(cur, prod))
-            power = nxt
-        traces.append(sum(power[i][i][0] for i in range(n)))
+    """[tr A^0, ..., tr A^max_power] exactly, as Fractions.
+
+    Quaternion matrices go through their complex embedding, which doubles the
+    trace.  Floats are dyadic rationals, so one common factor 2^e turns the
+    real and imaginary parts into Python ints; the powers are then exact
+    integer matrix products.
+    """
+    quaternion = matrix.algebra is DivisionAlgebra.QUATERNION
+    grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
+    ratios = [[x.as_integer_ratio() for x in part.ravel().tolist()] for part in (grid.real, grid.imag)]
+    e = max(den.bit_length() - 1 for part in ratios for _, den in part)
+    re, im = (
+        np.array([num << (e + 1 - den.bit_length()) for num, den in part], dtype=object).reshape(grid.shape)
+        for part in ratios
+    )
+    scale = 2 if quaternion else 1
+    traces = [Fraction(matrix.dim)]
+    power_re, power_im = re, im
+    for p in range(1, max_power + 1):
+        if p > 1:
+            power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re
+        traces.append(Fraction(int(np.trace(power_re)), scale << (e * p)))
     return traces
 
 

@@ -8,7 +8,6 @@ from checkerboard_rmt.algebra import (
     HermitianMatrix,
     complex_embed,
     conjugate_transpose,
-    quat_abs2,
     quat_conjugate,
     quat_multiply,
 )
@@ -47,7 +46,6 @@ def test_conjugation_reverses_products():
     lhs = quat_conjugate(quat_multiply(a, b))
     rhs = quat_multiply(quat_conjugate(b), quat_conjugate(a))
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
-    assert np.allclose(quat_abs2(quat_conjugate(a)), quat_abs2(a), rtol=1e-15)
 
 
 def test_conjugate_transpose_real_symmetric_fixed_point():

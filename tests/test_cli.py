@@ -177,6 +177,23 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_file_rejects_badly_typed_values(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"k": "x"}))
+    assert _run_cli(["blip", "--config", cfg_path, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'k'" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
+    assert _run_cli(["oracle", "--k", "2", "--m", "40", "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_resolve_config_defaults():
     config = resolve_config("bulk", {f: None for f in (
         "k", "dim", "w", "algebra", "dist", "trials", "g", "n", "m",

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from checkerboard_rmt.algebra import DivisionAlgebra
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix
 from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import EnumerationBudgetError, ParameterError, PrecisionLossError
 from checkerboard_rmt.moments import (
+    _exact_power_traces,
     alternating_binomial_sum,
     average_trial_moments,
     blip_limit_moment,
@@ -95,17 +96,20 @@ def test_oracle_odd_moments_vanish():
 
 
 def test_oracle_gaussian_values_at_k2():
-    # the 2x2 hollow ensemble has eigenvalues +/-|b|, so real moments are Gaussian
-    assert hollow_moment_oracle(2, 4).exact == 3
-    assert hollow_moment_oracle(2, 6).exact == 15
-    assert hollow_moment_oracle(2, 8).exact == 105
-    # complex |b|^2 is a unit exponential: E|b|^4 = 2, E|b|^6 = 6
-    assert hollow_moment_oracle(2, 4, "complex").exact == 2
-    assert hollow_moment_oracle(2, 6, "complex").exact == 6
+    # the 2x2 hollow ensemble has eigenvalues +/-|b|, so real moments are Gaussian, (m-1)!!,
+    # and complex |b|^2 is a unit exponential, so E|b|^m = (m/2)!
+    for m in range(2, 27, 2):
+        assert hollow_moment_oracle(2, m).exact == math.prod(range(m - 1, 0, -2)), m
+        assert hollow_moment_oracle(2, m, "complex").exact == math.factorial(m // 2), m
 
 
 def test_oracle_three_by_three_fourth_moment():
     assert hollow_moment_oracle(3, 4).exact == 10
+    # frozen values, each checked against a brute-force sum over all k^m index walks
+    assert hollow_moment_oracle(3, 6).exact == 74
+    assert hollow_moment_oracle(4, 8).exact == 2589
+    assert hollow_moment_oracle(7, 8).exact == 27930
+    assert hollow_moment_oracle(3, 8, "complex").exact == 272
 
 
 def test_oracle_budget_guard():
@@ -169,6 +173,26 @@ def test_trace_expansion_matches_direct_moment(algebra):
         for m in (0, 1, 2):
             expansion = trace_expansion_blip_moment(matrix, 2, cfg, m)
             assert abs(expansion - direct[m]) <= 1e-9 * max(1.0, abs(direct[m]))
+
+
+@pytest.mark.parametrize("algebra", list(DivisionAlgebra))
+def test_exact_power_traces_scale_dyadically(algebra):
+    # congruence by diag(2^a) spreads the entries over 2^-60 .. 2^20
+    a = np.array([-30, -20, -10, 0, 10])
+    scale = np.ldexp(1.0, np.add.outer(a, a))
+    data = sample_checkerboard(CheckerboardParams(dim=5, k=2, w=1.0, algebra=algebra, seed=41), 0).data
+    data = data * (scale[..., None] if algebra is DivisionAlgebra.QUATERNION else scale)
+    exponents = np.frexp(np.abs(data[data != 0]))[1]
+    assert exponents.max() - exponents.min() >= 40
+    traces = _exact_power_traces(HermitianMatrix(data, algebra), 8)
+    # tr A^2 of a self-adjoint matrix is the sum of its squared entry norms
+    components = data.view(float) if algebra is DivisionAlgebra.COMPLEX else data
+    assert traces[2] == sum(Fraction(float(x)) ** 2 for x in components.ravel())
+    s = 17
+    scaled = _exact_power_traces(HermitianMatrix(data * 2.0**s, algebra), 8)
+    assert traces[0] == scaled[0] == 5
+    for p in range(1, 9):
+        assert scaled[p] == 2 ** (s * p) * traces[p], p
 
 
 def test_trace_expansion_float_path_detects_cancellation():
