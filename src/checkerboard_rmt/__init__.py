@@ -18,14 +18,13 @@ from .ensembles import (
     HollowParams,
     congruence_indicator_matrix,
     sample_checkerboard,
-    sample_hollow,
     sample_hollow_batch,
 )
 from .spectra import (
     AtomicMeasure,
     BlipConfig,
     Spectrum,
-    averaged_blip_measure,
+    average_measures,
     blip_measure,
     blip_weight,
     bulk_measure,
@@ -65,12 +64,11 @@ __all__ = [
     "HollowParams",
     "congruence_indicator_matrix",
     "sample_checkerboard",
-    "sample_hollow",
     "sample_hollow_batch",
     "AtomicMeasure",
     "BlipConfig",
     "Spectrum",
-    "averaged_blip_measure",
+    "average_measures",
     "blip_measure",
     "blip_weight",
     "bulk_measure",

@@ -10,6 +10,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .exceptions import ParameterError
+
 __all__ = ["worker_count", "parallel_map"]
 
 _ENV_VAR = "CHECKERBOARD_THREADS"
@@ -21,7 +23,7 @@ def worker_count() -> int:
         try:
             n = int(raw)
         except ValueError:
-            raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
+            raise ParameterError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
         return max(1, n)
     return os.cpu_count() or 1
 

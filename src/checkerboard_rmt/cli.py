@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, make_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from ._parallel import parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_batch
-from .exceptions import EnumerationBudgetError, ParameterError, RegimeOverlapError
+from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
 from .moments import (
     alternating_binomial_sum,
     average_trial_moments,
@@ -33,6 +36,7 @@ from .moments import (
 from .spectra import (
     AtomicMeasure,
     BlipConfig,
+    average_measures,
     batch_eigenvalues,
     blip_measure,
     bulk_measure,
@@ -46,117 +50,82 @@ from .spectra import (
 CSV_VERSION_LINE = "# checkerboard-rmt v1"
 SCHEMA_VERSION = 1
 
-COMMANDS = ("sample", "bulk", "blip", "hollow", "oracle", "verify-split", "verify-identities", "compare")
 
-_BASE_DEFAULTS = dict(
-    k=2,
-    dim=100,
-    w=1.0,
-    algebra="real",
-    dist="normal",
-    trials=1,
-    g=None,
-    n=None,
-    m=None,
-    max_m=6,
-    bins=64,
-    exponent=0.65,
-    seed=0,
-    out=None,
-    fmt="csv",
+class _Field(NamedTuple):
+    """One setting: its config field, its config-file key (also its flag, --key) and its rules."""
+
+    name: str
+    key: str
+    kind: type  # int, float, str or Path
+    default: object
+    help: "str | None" = None
+    choices: "tuple | None" = None
+
+    def coerce(self, value):
+        """The value as `kind`; strict JSON types, so booleans and 2.7 are not ints."""
+        if value is None and self.default is None:
+            return None
+        ok = isinstance(value, _ACCEPTS[self.kind]) and not isinstance(value, bool)
+        if not ok or (self.choices is not None and value not in self.choices):
+            expected = f"one of {list(self.choices)}" if self.choices else self.kind.__name__
+            raise ParameterError(f"config key {self.key!r} must be {expected}, got {value!r}")
+        return self.kind(value)
+
+
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str, Path: (str, os.PathLike)}
+
+_FIELDS = (
+    _Field("k", "k", int, 2, "congruence modulus k"),
+    _Field("dim", "N", int, 100, "matrix dimension N"),
+    _Field("w", "w", float, 1.0, "value on the congruent positions"),
+    _Field("algebra", "algebra", str, "real", None, ("real", "complex", "quaternion")),
+    _Field("dist", "dist", str, "normal", "entry distribution", ("normal", "rademacher")),
+    _Field("trials", "trials", int, 1, "number of sampled matrices / MC trials"),
+    _Field("g", "g", int, None, "matrices averaged per blip measure"),
+    _Field("n", "n", int, None, "blip weight half-degree override"),
+    _Field("m", "m", int, None, "single moment order (oracle)"),
+    _Field("max_m", "max-m", int, 6, "highest moment order"),
+    _Field("bins", "bins", int, 64, "histogram bin count"),
+    _Field("exponent", "exponent", float, 0.65, "regime-splitting threshold exponent"),
+    _Field("seed", "seed", int, 0, "master seed (64-bit)"),
+    _Field("out", "out", Path, None, "output directory"),
+    _Field("fmt", "format", str, "csv", "moment table format", ("csv", "json")),
 )
 
-_COMMAND_DEFAULTS = {
-    "sample": dict(trials=1),
-    "bulk": dict(dim=400, w=0.0, trials=40),
-    "blip": dict(dim=600, w=1.0, max_m=4),
-    "hollow": dict(trials=32000),
-    "oracle": dict(trials=200_000),
-    "verify-split": dict(dim=300, k=3, w=1.0, trials=20),
-    "verify-identities": dict(max_m=12, trials=5, dim=8),
-    "compare": dict(dim=600, w=1.0, trials=5000),
-}
 
-# config-file keys use the flag spellings
-_FLAG_TO_FIELD = {
-    "k": "k",
-    "N": "dim",
-    "w": "w",
-    "algebra": "algebra",
-    "dist": "dist",
-    "trials": "trials",
-    "g": "g",
-    "n": "n",
-    "m": "m",
-    "max-m": "max_m",
-    "bins": "bins",
-    "exponent": "exponent",
-    "seed": "seed",
-    "out": "out",
-    "format": "fmt",
-}
+def _check_config(config) -> None:
+    """ExperimentConfig's __post_init__: coerce every field through its row, then check the bounds."""
+    if config.command not in _COMMAND_TABLE:
+        raise ParameterError(f"unknown command {config.command!r}")
+    for field in _FIELDS:
+        object.__setattr__(config, field.name, field.coerce(getattr(config, field.name)))
+    for name in ("trials", "max_m", "bins"):
+        if getattr(config, name) < 0:
+            raise ParameterError(f"{name} must be nonnegative")
 
-_FIELD_TYPES = dict(
-    k=int, dim=int, w=float, algebra=str, dist=str, trials=int, g=int, n=int, m=int,
-    max_m=int, bins=int, exponent=float, seed=int, out=Path, fmt=str,
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [("command", str), *((field.name, field.kind) for field in _FIELDS)],
+    frozen=True,
+    namespace={"__doc__": "Fully resolved description of one run.", "__post_init__": _check_config},
 )
-_OPTIONAL_FIELDS = ("g", "n", "m")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved description of one run."""
-
-    command: str
-    k: int
-    dim: int
-    w: float
-    algebra: str
-    dist: str
-    trials: int
-    g: "int | None"
-    n: "int | None"
-    m: "int | None"
-    max_m: int
-    bins: int
-    exponent: float
-    seed: int
-    out: Path
-    fmt: str
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ParameterError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ParameterError(f"format must be csv or json, got {self.fmt!r}")
-        for name in ("trials", "max_m", "bins"):
-            if int(getattr(self, name)) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
-        object.__setattr__(self, "out", Path(self.out))
 
 
 def resolve_config(command: str, cli_values: dict, file_values: "dict | None" = None) -> ExperimentConfig:
     """Merge flag values over config-file values over built-in defaults."""
-    merged = dict(_BASE_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS.get(command, {}))
+    merged = {field.name: field.default for field in _FIELDS}
+    if command in _COMMAND_TABLE:
+        merged.update(_COMMAND_TABLE[command].defaults)
+    names = {field.key: field.name for field in _FIELDS}
     for key, value in (file_values or {}).items():
-        if key not in _FLAG_TO_FIELD:
-            raise ParameterError(f"unknown config key {key!r}; valid keys: {sorted(_FLAG_TO_FIELD)}")
-        merged[_FLAG_TO_FIELD[key]] = value
-    for field, value in cli_values.items():
-        if value is not None:
-            merged[field] = value
+        if key not in names:
+            raise ParameterError(f"unknown config key {key!r}; valid keys: {sorted(names)}")
+        merged[names[key]] = value
+    merged.update((name, value) for name, value in cli_values.items() if value is not None)
     if merged["out"] is None:
         merged["out"] = Path("results") / command
-    values = {}
-    for field, kind in _FIELD_TYPES.items():
-        value = merged[field]
-        try:
-            values[field] = None if value is None and field in _OPTIONAL_FIELDS else kind(value)
-        except (TypeError, ValueError):
-            key = next(flag for flag, name in _FLAG_TO_FIELD.items() if name == field)
-            raise ParameterError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
-    return ExperimentConfig(command=command, **values)
+    return ExperimentConfig(command=command, **merged)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +157,14 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _table_payload(columns, rows) -> dict:
-    return {"columns": list(columns), "rows": [list(r) for r in rows]}
+def _previous_outputs(out_dir: Path) -> set:
+    """Plain file names listed under `outputs` in the directory's manifest.json, if it reads."""
+    try:
+        listed = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        listed = None
+    names = listed if isinstance(listed, list) else []
+    return {name for name in names if isinstance(name, str) and Path(name).name == name and (out_dir / name).is_file()}
 
 
 class _Artifacts:
@@ -201,7 +176,7 @@ class _Artifacts:
     def table(self, name: str, columns, rows, fmt: str):
         rows = [tuple(r) for r in rows]
         if fmt == "json":
-            self.files.append((f"{name}.json", _json_text(_table_payload(columns, rows))))
+            self.files.append((f"{name}.json", _json_text({"columns": list(columns), "rows": [list(r) for r in rows]})))
         else:
             self.files.append((f"{name}.csv", _csv_text(columns, rows)))
 
@@ -215,9 +190,13 @@ class _Artifacts:
         self.files.append((filename, content))
 
     def write(self, out_dir: Path, manifest: dict) -> list:
+        """Write every file plus manifest.json, first deleting the outputs a previous
+        run's manifest lists that this run does not write (nothing else is touched)."""
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = dict(manifest)
         manifest["outputs"] = sorted(name for name, _ in self.files)
+        for stale in _previous_outputs(out_dir) - set(manifest["outputs"]):
+            (out_dir / stale).unlink()
         self.files.append(("manifest.json", _json_text(manifest)))
         for name, content in self.files:
             (out_dir / name).write_text(content)
@@ -251,21 +230,12 @@ def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, arti
 
 
 def _trial_spectra(params: CheckerboardParams, trials: int):
-    def one(t: int):
-        try:
-            return eigensolve(sample_checkerboard(params, t))
-        except Exception as exc:
-            raise RuntimeError(f"trial {t} with seed {params.seed} failed: {exc}") from exc
-
-    return parallel_map(one, range(trials))
+    return parallel_map(lambda t: eigensolve(sample_checkerboard(params, t)), range(trials))
 
 
-def _eigenvalue_rows(spectra):
-    return [
-        (trial, index, float(value))
-        for trial, spectrum in enumerate(spectra)
-        for index, value in enumerate(spectrum.eigenvalues)
-    ]
+def _eigenvalue_rows(per_trial) -> list:
+    """(trial, index, eigenvalue) rows from one eigenvalue array per trial."""
+    return [(trial, index, float(v)) for trial, values in enumerate(per_trial) for index, v in enumerate(values)]
 
 
 def _moment_rows(moment_vector):
@@ -284,7 +254,7 @@ def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
 
 def _cmd_sample(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = _trial_spectra(_checkerboard_params(config), config.trials)
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(spectra))
+    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(s.eigenvalues for s in spectra))
     return {}, 0
 
 
@@ -292,31 +262,28 @@ def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = _trial_spectra(_checkerboard_params(config), config.trials)
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
-    pooled = AtomicMeasure(
-        np.concatenate([m.locations for m in measures]),
-        np.concatenate([m.weights for m in measures]) / len(measures),
-    )
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(spectra))
+    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(s.eigenvalues for s in spectra))
     artifacts.table("moments", ("m", "value", "stderr"), _moment_rows(moments), config.fmt)
-    emit_histogram_bundle(pooled, config, artifacts)
+    emit_histogram_bundle(average_measures(measures), config, artifacts)
     return {}, 0
 
 
-def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+def _blip_trials(config: ExperimentConfig) -> tuple:
+    """g, n, the spectra and the blip measures of g sampled matrices (blip and compare)."""
     g = config.g if config.g is not None else default_average_count(config.dim)
     n = config.n if config.n is not None else default_blip_half_degree(config.dim)
     blip_cfg = BlipConfig.for_dimension(config.dim, config.k, n)
     spectra = _trial_spectra(_checkerboard_params(config), g)
-    measures = [blip_measure(s, config.k, blip_cfg) for s in spectra]
+    return g, n, spectra, [blip_measure(s, config.k, blip_cfg) for s in spectra]
+
+
+def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    g, n, spectra, measures = _blip_trials(config)
     center = float(config.k - 1)
     moments = average_trial_moments(measures, config.max_m, center=center)
-    averaged = AtomicMeasure(
-        np.concatenate([m.locations for m in measures]),
-        np.concatenate([m.weights for m in measures]) / g,
-    )
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(spectra))
+    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(s.eigenvalues for s in spectra))
     artifacts.table("moments", ("m", "value", "stderr"), _moment_rows(moments), config.fmt)
-    emit_histogram_bundle(averaged, config, artifacts, value_range=default_blip_range(config.k))
+    emit_histogram_bundle(average_measures(measures), config, artifacts, value_range=default_blip_range(config.k))
     return {"g": g, "n": n, "moment_center": center}, 0
 
 
@@ -324,17 +291,12 @@ def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     algebra = DivisionAlgebra.parse(config.algebra)
     params = HollowParams(k=config.k, algebra=algebra, seed=config.seed)
     eigs = batch_eigenvalues(sample_hollow_batch(params, config.trials), algebra)
-    rows = [
-        (trial, index, float(eigs[trial, index]))
-        for trial in range(eigs.shape[0])
-        for index in range(eigs.shape[1])
-    ]
     per_trial = eigs[:, None, :] ** np.arange(config.max_m + 1)[None, :, None]
     traces = per_trial.sum(axis=2) / config.k  # (trials, max_m + 1)
     values = traces.mean(axis=0)
     stderr = traces.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else np.zeros_like(values)
     measure = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), rows)
+    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(eigs))
     artifacts.table(
         "moments",
         ("m", "value", "stderr"),
@@ -444,17 +406,11 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
 
 
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    g = config.g if config.g is not None else default_average_count(config.dim)
-    n = config.n if config.n is not None else default_blip_half_degree(config.dim)
-    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, n)
-    spectra = _trial_spectra(_checkerboard_params(config), g)
-    measures = [blip_measure(s, config.k, blip_cfg) for s in spectra]
-    averaged = AtomicMeasure(
-        np.concatenate([m.locations for m in measures]) - (config.k - 1),
-        np.concatenate([m.weights for m in measures]) / g,
-    )
+    g, n, _, measures = _blip_trials(config)
+    averaged = average_measures(measures)
+    centered = AtomicMeasure(averaged.locations - (config.k - 1), averaged.weights)
     report = compare_blip_to_hollow(
-        averaged, config.k, config.algebra, hollow_trials=config.trials, seed=config.seed, max_m=config.max_m
+        centered, config.k, config.algebra, hollow_trials=config.trials, seed=config.seed, max_m=config.max_m
     )
     artifacts.json("report", {"command": "compare", "config": _config_echo(config), **report.to_dict()})
     print(
@@ -465,15 +421,25 @@ def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     return {"g": g, "n": n}, 0
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "bulk": _cmd_bulk,
-    "blip": _cmd_blip,
-    "hollow": _cmd_hollow,
-    "oracle": _cmd_oracle,
-    "verify-split": _cmd_verify_split,
-    "verify-identities": _cmd_verify_identities,
-    "compare": _cmd_compare,
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    defaults: dict  # overrides of the field defaults
+
+
+_COMMAND_TABLE = {
+    "sample": _Command(_cmd_sample, "sample checkerboard matrices and write their eigenvalues", dict(trials=1)),
+    "bulk": _Command(_cmd_bulk, "bulk spectral measure: moments and histogram (w defaults to 0)",
+                     dict(dim=400, w=0.0, trials=40)),
+    "blip": _Command(_cmd_blip, "averaged blip measure: centered moments and histogram", dict(dim=600, w=1.0, max_m=4)),
+    "hollow": _Command(_cmd_hollow, "hollow Gaussian ensemble: eigenvalues, moments, histogram", dict(trials=32000)),
+    "oracle": _Command(_cmd_oracle, "exact (or Monte Carlo) hollow-ensemble moments", dict(trials=200_000)),
+    "verify-split": _Command(_cmd_verify_split, "check the two-regime eigenvalue split over many trials",
+                             dict(dim=300, k=3, w=1.0, trials=20)),
+    "verify-identities": _Command(_cmd_verify_identities, "check the exact combinatorial and trace identities",
+                                  dict(max_m=12, trials=5, dim=8)),
+    "compare": _Command(_cmd_compare, "compare a centered blip sample against hollow-ensemble draws",
+                        dict(dim=600, w=1.0, trials=5000)),
 }
 
 
@@ -486,7 +452,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
 def run(config: ExperimentConfig) -> int:
     """Execute one command; writes all artifacts plus manifest.json, returns exit status."""
     artifacts = _Artifacts()
-    derived, status = _HANDLERS[config.command](config, artifacts)
+    derived, status = _COMMAND_TABLE[config.command].handler(config, artifacts)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
@@ -506,21 +472,8 @@ def run(config: ExperimentConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=int, default=None, help="congruence modulus k")
-    common.add_argument("--N", dest="dim", type=int, default=None, help="matrix dimension N")
-    common.add_argument("--w", type=float, default=None, help="value on the congruent positions")
-    common.add_argument("--algebra", choices=["real", "complex", "quaternion"], default=None)
-    common.add_argument("--dist", choices=["normal", "rademacher"], default=None, help="entry distribution")
-    common.add_argument("--trials", type=int, default=None, help="number of sampled matrices / MC trials")
-    common.add_argument("--g", type=int, default=None, help="matrices averaged per blip measure")
-    common.add_argument("--n", type=int, default=None, help="blip weight half-degree override")
-    common.add_argument("--m", type=int, default=None, help="single moment order (oracle)")
-    common.add_argument("--max-m", dest="max_m", type=int, default=None, help="highest moment order")
-    common.add_argument("--bins", type=int, default=None, help="histogram bin count")
-    common.add_argument("--exponent", type=float, default=None, help="regime-splitting threshold exponent")
-    common.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
-    common.add_argument("--out", type=Path, default=None, help="output directory")
-    common.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None, help="moment table format")
+    for field in _FIELDS:
+        common.add_argument(f"--{field.key}", dest=field.name, type=field.kind, choices=field.choices, help=field.help)
     common.add_argument("--config", type=Path, default=None, help="JSON config file (flags override it)")
 
     parser = argparse.ArgumentParser(
@@ -528,18 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and verification lab for checkerboard random matrix ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "sample": "sample checkerboard matrices and write their eigenvalues",
-        "bulk": "bulk spectral measure: moments and histogram (w defaults to 0)",
-        "blip": "averaged blip measure: centered moments and histogram",
-        "hollow": "hollow Gaussian ensemble: eigenvalues, moments, histogram",
-        "oracle": "exact (or Monte Carlo) hollow-ensemble moments",
-        "verify-split": "check the two-regime eigenvalue split over many trials",
-        "verify-identities": "check the exact combinatorial and trace identities",
-        "compare": "compare a centered blip sample against hollow-ensemble draws",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=descriptions[name])
+    for name, command in _COMMAND_TABLE.items():
+        sub.add_parser(name, parents=[common], help=command.help)
     return parser
 
 
@@ -551,10 +494,10 @@ def main(argv=None) -> int:
             file_values = json.loads(Path(args.config).read_text())
             if not isinstance(file_values, dict):
                 raise ParameterError(f"config file {args.config} must hold a JSON object")
-        cli_values = {field: getattr(args, field) for field in _FIELD_TYPES}
+        cli_values = {field.name: getattr(args, field.name) for field in _FIELDS}
         config = resolve_config(args.command, cli_values, file_values)
         return run(config)
-    except (ParameterError, EnumerationBudgetError, OSError, json.JSONDecodeError) as exc:
+    except (CheckerboardError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,15 +24,14 @@ __all__ = [
     "CheckerboardParams",
     "HollowParams",
     "sample_checkerboard",
-    "sample_hollow",
     "sample_hollow_batch",
     "congruence_indicator_matrix",
 ]
 
 DISTRIBUTIONS = ("normal", "rademacher")
 
+# Stream domains; 2 is retired (a single-matrix hollow sampler), never reused.
 _DOMAIN_CHECKERBOARD = 1
-_DOMAIN_HOLLOW = 2
 _DOMAIN_HOLLOW_BATCH = 3
 
 _MAX_SEED = 2**64
@@ -139,19 +138,12 @@ def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> Hermiti
     return HermitianMatrix(data, params.algebra)
 
 
-def sample_hollow(params: HollowParams, trial_index: int = 0) -> HermitianMatrix:
-    """Draw one hollow Gaussian matrix: zero diagonal, unit-variance entries."""
-    rng = _stream(params.seed, _DOMAIN_HOLLOW, trial_index)
-    comps = rng.standard_normal((params.algebra.components, params.k, params.k))
-    return HermitianMatrix(_hermitian_from_upper(comps, params.algebra), params.algebra)
-
-
 def sample_hollow_batch(params: HollowParams, trials: int, batch_index: int = 0) -> np.ndarray:
-    """Draw a stack of hollow matrices as one array of shape (trials, k, k[, 4]).
+    """Draw a stack of hollow matrices (zero diagonal, unit-variance entries)
+    as one array of shape (trials, k, k[, 4]).
 
     The whole batch comes from a single Philox stream keyed on
-    (seed, batch_index); it is reproducible but laid out differently from
-    repeated `sample_hollow` calls.
+    (seed, batch_index).
     """
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")

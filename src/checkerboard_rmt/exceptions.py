@@ -1,7 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every one derives from `CheckerboardError`, so a caller can catch them all at
+once, and keeps the builtin base that says what kind of failure it is.
+"""
 
 
-class ParameterError(ValueError):
+class CheckerboardError(Exception):
+    """Base of every exception this package raises on purpose."""
+
+
+class ParameterError(CheckerboardError, ValueError):
     """A parameter violates an operation's precondition."""
 
 
@@ -9,33 +17,33 @@ class DimensionError(ParameterError):
     """Matrix or vector dimensions are incompatible."""
 
 
-class AlgebraMismatchError(TypeError):
+class AlgebraMismatchError(CheckerboardError, TypeError):
     """An operation received a matrix over the wrong division algebra."""
 
 
-class HermitianInvariantError(ValueError):
+class HermitianInvariantError(CheckerboardError, ValueError):
     """A matrix failed the self-adjointness check at construction."""
 
 
-class NumericalDegeneracyError(ArithmeticError):
+class NumericalDegeneracyError(CheckerboardError, ArithmeticError):
     """Eigensolution produced results inconsistent with an exact structural guarantee."""
 
 
-class EigensolveError(ArithmeticError):
+class EigensolveError(CheckerboardError, ArithmeticError):
     """The underlying eigendecomposition failed to converge."""
 
 
-class RegimeOverlapError(RuntimeError):
+class RegimeOverlapError(CheckerboardError, RuntimeError):
     """An eigenvalue could not be classified into exactly one spectral regime."""
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(CheckerboardError, RuntimeError):
     """An exact enumeration would exceed the configured budget."""
 
 
-class PrecisionLossError(ArithmeticError):
+class PrecisionLossError(CheckerboardError, ArithmeticError):
     """Catastrophic cancellation detected in a floating-point accumulation."""
 
 
-class StatisticalPowerWarning(UserWarning):
+class StatisticalPowerWarning(CheckerboardError, UserWarning):
     """A statistical probe was configured with too few trials to be conclusive."""

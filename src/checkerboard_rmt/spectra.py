@@ -3,7 +3,7 @@
 Three measures are built from a spectrum: the bulk measure (eigenvalues
 scaled by 1/sqrt(N), uniform weights), the blip measure (eigenvalues shifted
 by N/k and weighted by a steep polynomial that is ~1 near the k outlier
-eigenvalues and ~0 on the bulk), and the average of blip measures over
+eigenvalues and ~0 on the bulk), and the mean of such measures over
 several independent matrices.
 """
 
@@ -29,7 +29,7 @@ __all__ = [
     "bulk_measure",
     "blip_weight",
     "blip_measure",
-    "averaged_blip_measure",
+    "average_measures",
     "histogram",
     "default_blip_range",
 ]
@@ -128,7 +128,8 @@ def eigensolve(matrix: HermitianMatrix) -> Spectrum:
         vals = _collapse_doubled(vals)
     total = vals.sum()
     trace = matrix.trace()
-    if abs(total - trace) > _TRACE_RTOL * max(1.0, abs(trace), float(np.abs(vals).sum())):
+    # written so that a NaN or inf spectrum fails the check too
+    if not (abs(total - trace) <= _TRACE_RTOL * max(1.0, abs(trace), float(np.abs(vals).sum()))):
         raise NumericalDegeneracyError(
             f"eigenvalue sum {total} disagrees with trace {trace} (dim={matrix.dim}, algebra={matrix.algebra.value})"
         )
@@ -139,7 +140,7 @@ def _collapse_doubled(vals: np.ndarray) -> np.ndarray:
     """Keep every second eigenvalue of a spectrum with exact double multiplicity."""
     first, second = vals[..., 0::2], vals[..., 1::2]
     scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
-    bad = np.abs(first - second) > _KRAMERS_RTOL * scale
+    bad = ~(np.abs(first - second) <= _KRAMERS_RTOL * scale)  # NaN and inf pairs are bad too
     if np.any(bad):
         raise NumericalDegeneracyError(
             "embedded spectrum is not doubled to relative 1e-8; worst pair "
@@ -201,23 +202,15 @@ def blip_measure(spectrum: Spectrum, k: int, cfg: BlipConfig) -> AtomicMeasure:
     )
 
 
-def averaged_blip_measure(matrices, k: int, cfg: BlipConfig) -> AtomicMeasure:
-    """Arithmetic mean of the blip measures of several same-size matrices.
-
-    Accepts HermitianMatrix or pre-computed Spectrum elements.
-    """
-    spectra = [m if isinstance(m, Spectrum) else eigensolve(m) for m in matrices]
-    if not spectra:
-        raise ParameterError("need at least one matrix to average")
-    dims = {s.source_dimension for s in spectra}
-    if len(dims) != 1:
-        raise ParameterError(f"matrices must share one dimension, got {sorted(dims)}")
-    count = len(spectra)
-    parts = [blip_measure(s, k, cfg) for s in spectra]
+def average_measures(measures) -> AtomicMeasure:
+    """Arithmetic mean of atomic measures: every atom kept, each weight divided by the count."""
+    measures = list(measures)
+    if not measures:
+        raise ParameterError("need at least one measure to average")
     return AtomicMeasure(
-        np.concatenate([p.locations for p in parts]),
-        np.concatenate([p.weights for p in parts]) / count,
-        normalization_note=f"average of {count} blip measures",
+        np.concatenate([m.locations for m in measures]),
+        np.concatenate([m.weights for m in measures]) / len(measures),
+        normalization_note=f"average of {len(measures)} measures",
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from checkerboard_rmt.cli import CSV_VERSION_LINE, main, resolve_config, run
@@ -192,6 +193,65 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv, env, message",
+    [
+        ({"algebra": "x"}, [], None, "config key 'algebra'"),
+        ({"format": "xml"}, [], None, "config key 'format'"),
+        ({"k": 2.7}, [], None, "config key 'k'"),
+        ({"k": True}, [], None, "config key 'k'"),
+        ({"trials": True}, [], None, "config key 'trials'"),
+        ({"w": "1.5"}, [], None, "config key 'w'"),
+        ({"seed": None}, [], None, "config key 'seed'"),
+        (b"\xff\xfe not utf-8", [], None, "decode"),
+        (None, ["--w", "1e308"], None, "trace"),
+        (None, ["--algebra", "quaternion", "--w", "1e300"], None, "doubled"),
+        (None, [], "x", "CHECKERBOARD_THREADS"),
+    ],
+    ids=["config-algebra", "config-format", "config-float-k", "config-bool-k", "config-bool-trials", "config-string-w",
+         "config-null-seed", "config-not-utf8", "inf-spectrum", "quaternion-overflow", "threads-env"],
+)
+def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, monkeypatch, config, argv, env, message):
+    if config is not None:
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv = [*argv, "--config", cfg_path]
+    if env is not None:
+        monkeypatch.setenv("CHECKERBOARD_THREADS", env)
+    out = tmp_path / "x"
+    with np.errstate(all="ignore"):
+        assert _run_cli(["sample", "--N", "10", *argv, "--out", out]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and message in last
+    assert not out.exists()
+
+
+def test_config_file_floats_take_any_json_number(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"w": 2, "exponent": 0.5, "g": None}))
+    assert _run_cli(["blip", "--config", cfg_path, "--N", "12", "--g", "2", "--out", tmp_path / "ok"]) == 0
+    config = json.loads((tmp_path / "ok" / "manifest.json").read_text())["config"]
+    assert config["w"] == 2.0 and isinstance(config["w"], float) and config["exponent"] == 0.5
+
+
+def test_reused_out_directory_drops_only_stale_listed_outputs(tmp_path):
+    out = tmp_path / "run"
+    common = ["--k", "2", "--N", "12", "--trials", "2", "--out", out]
+    assert _run_cli(["bulk", *common]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert _run_cli(["bulk", *common, "--format", "json"]) == 0
+    names = {p.name for p in out.iterdir()}
+    assert "moments.json" in names and "moments.csv" not in names and "notes.txt" in names
+    assert _run_cli(["sample", *common]) == 0
+    assert {p.name for p in out.iterdir()} == {"eigenvalues.csv", "manifest.json", "notes.txt"}
+    # without a manifest nothing is deleted
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "moments.csv").write_text("not ours\n")
+    assert _run_cli(["sample", "--N", "10", "--out", bare]) == 0
+    assert (bare / "moments.csv").read_text() == "not ours\n"
 
 
 def test_resolve_config_defaults():

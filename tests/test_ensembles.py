@@ -9,7 +9,6 @@ from checkerboard_rmt.ensembles import (
     HollowParams,
     congruence_indicator_matrix,
     sample_checkerboard,
-    sample_hollow,
     sample_hollow_batch,
 )
 from checkerboard_rmt.exceptions import ParameterError
@@ -81,12 +80,12 @@ def test_off_congruence_entry_statistics():
 
 
 def test_hollow_size_one_is_zero():
-    m = sample_hollow(HollowParams(k=1, seed=0))
-    assert np.array_equal(m.data, np.zeros((1, 1)))
+    m = sample_hollow_batch(HollowParams(k=1, seed=0), 1)[0]
+    assert np.array_equal(m, np.zeros((1, 1)))
 
 
 def test_hollow_two_by_two_structure():
-    m = sample_hollow(HollowParams(k=2, seed=9)).data
+    m = sample_hollow_batch(HollowParams(k=2, seed=9), 1)[0]
     assert m[0, 0] == 0.0 and m[1, 1] == 0.0
     assert m[0, 1] == m[1, 0] != 0.0
 

@@ -1,4 +1,4 @@
-"""Eigensolution and the bulk, blip, and averaged-blip measures."""
+"""Eigensolution, the bulk and blip measures, and their averages."""
 
 import math
 
@@ -7,12 +7,13 @@ import pytest
 
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, complex_embed
 from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
-from checkerboard_rmt.exceptions import ParameterError
+from checkerboard_rmt.exceptions import NumericalDegeneracyError, ParameterError
 from checkerboard_rmt.spectra import (
     AtomicMeasure,
     BlipConfig,
     Spectrum,
-    averaged_blip_measure,
+    average_measures,
+    batch_eigenvalues,
     blip_measure,
     blip_weight,
     bulk_measure,
@@ -112,7 +113,7 @@ def test_blip_mass_concentrates_near_one():
     spectra = [eigensolve(sample_checkerboard(params, t)) for t in range(40)]
     masses = [blip_measure(s, k, cfg).total_mass for s in spectra]
     assert abs(np.mean(masses[:20]) - 1.0) < 0.05
-    averaged = averaged_blip_measure(spectra, k, cfg)
+    averaged = average_measures(blip_measure(s, k, cfg) for s in spectra)
     assert abs(averaged.total_mass - 1.0) < 0.02
 
 
@@ -121,7 +122,7 @@ def test_averaged_blip_single_matches_blip():
     m = sample_checkerboard(params, 0)
     cfg = BlipConfig.for_dimension(12, 2)
     lone = blip_measure(eigensolve(m), 2, cfg)
-    avg = averaged_blip_measure([m], 2, cfg)
+    avg = average_measures([lone])
     assert np.allclose(avg.locations, lone.locations)
     assert np.allclose(avg.weights, lone.weights)
 
@@ -130,8 +131,9 @@ def test_averaged_blip_duplicates_keep_mass():
     params = CheckerboardParams(dim=12, k=2, w=1.0, seed=4)
     m = sample_checkerboard(params, 0)
     cfg = BlipConfig.for_dimension(12, 2)
-    one = averaged_blip_measure([m], 2, cfg)
-    two = averaged_blip_measure([m, m], 2, cfg)
+    lone = blip_measure(eigensolve(m), 2, cfg)
+    one = average_measures([lone])
+    two = average_measures([lone, lone])
     assert two.locations.size == 2 * one.locations.size
     assert two.total_mass == pytest.approx(one.total_mass, rel=1e-12)
 
@@ -141,7 +143,24 @@ def test_averaged_blip_rejects_mixed_dimensions():
     a = sample_checkerboard(CheckerboardParams(dim=8, k=2, seed=0), 0)
     b = sample_checkerboard(CheckerboardParams(dim=10, k=2, seed=0), 0)
     with pytest.raises(ParameterError):
-        averaged_blip_measure([a, b], 2, cfg)
+        average_measures([blip_measure(eigensolve(m), 2, cfg) for m in (a, b)])
+
+
+def test_average_measures_rejects_empty_input():
+    with pytest.raises(ParameterError):
+        average_measures([])
+
+
+@pytest.mark.parametrize("algebra", ["real", "quaternion"])
+def test_non_finite_spectrum_is_rejected(algebra):
+    # the 2x2 matrix of 1e308 has eigenvalue 2e308 = inf; the trace (and, for
+    # quaternions, the Kramers pair) check must fail on inf - inf = NaN
+    matrix = sample_checkerboard(CheckerboardParams(dim=2, k=1, w=1e308, algebra=algebra), 0)
+    with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracyError):
+        eigensolve(matrix)
+    if algebra == "quaternion":  # the Kramers check alone: batch_eigenvalues has no trace check
+        with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracyError):
+            batch_eigenvalues(matrix.data[None], algebra)
 
 
 def test_blip_config_dimension_check():
