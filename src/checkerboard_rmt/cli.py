@@ -14,9 +14,9 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, make_dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from .spectra import (
 
 CSV_VERSION_LINE = "# checkerboard-rmt v1"
 SCHEMA_VERSION = 1
+# Rows formatted per block: bounds the per-row strings alive at once.
+CSV_BLOCK_ROWS = 65_536
 
 
 class _Field(NamedTuple):
@@ -145,10 +147,23 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [CSV_VERSION_LINE, ",".join(columns)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _cells(column) -> Iterator[str]:
+    """One column as text cells: the same text as `_cell`, without a call per float or integer cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(repr, column.tolist())  # shortest round-trip text, as _cell writes it
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(_cell, column)
+
+
+def _csv_text(header, columns) -> str:
+    """The CSV text of equal-length columns, formatted a block of rows at a time."""
+    rows = len(columns[0])
+    blocks = [CSV_VERSION_LINE, ",".join(header)]
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        cells = [_cells(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells, strict=True))))
+    return "\n".join(blocks) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -173,15 +188,17 @@ class _Artifacts:
     def __init__(self):
         self.files: list = []  # (filename, text)
 
-    def table(self, name: str, columns, rows, fmt: str):
-        rows = [tuple(r) for r in rows]
+    def table(self, name: str, header, columns, fmt: str):
+        """A table of equal-length columns, each a 1-d numpy array or a short list."""
         if fmt == "json":
-            self.files.append((f"{name}.json", _json_text({"columns": list(columns), "rows": [list(r) for r in rows]})))
+            values = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+            rows = [list(row) for row in zip(*values, strict=True)]
+            self.files.append((f"{name}.json", _json_text({"columns": list(header), "rows": rows})))
         else:
-            self.files.append((f"{name}.csv", _csv_text(columns, rows)))
+            self.files.append((f"{name}.csv", _csv_text(header, columns)))
 
-    def csv(self, name: str, columns, rows):
-        self.table(name, columns, rows, "csv")
+    def csv(self, name: str, header, columns):
+        self.table(name, header, columns, "csv")
 
     def json(self, name: str, payload: dict):
         self.files.append((f"{name}.json", _json_text(payload)))
@@ -217,7 +234,7 @@ def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, arti
                           value_range=None, name: str = "histogram") -> None:
     """Histogram CSV plus a gnuplot sidecar so the figure renders without the library."""
     table = histogram(measure, config.bins, value_range)
-    artifacts.csv(name, ("bin_lo", "bin_hi", "density"), table.rows())
+    artifacts.csv(name, ("bin_lo", "bin_hi", "density"), (table.bin_lo, table.bin_hi, table.density))
     artifacts.text(
         f"{name}.gp",
         _SIDECAR.format(version=CSV_VERSION_LINE, csv_name=f"{name}.csv", gp_name=f"{name}.gp"),
@@ -233,17 +250,20 @@ def _trial_spectra(params: CheckerboardParams, trials: int):
     return parallel_map(lambda t: eigensolve(sample_checkerboard(params, t)), range(trials))
 
 
-def _eigenvalue_rows(per_trial) -> list:
-    """(trial, index, eigenvalue) rows from one eigenvalue array per trial."""
-    return [(trial, index, float(v)) for trial, values in enumerate(per_trial) for index, v in enumerate(values)]
+def _eigenvalue_table(artifacts: _Artifacts, per_trial, n: int) -> None:
+    """eigenvalues.csv: (trial, index, eigenvalue) columns from one length-n eigenvalue array per trial."""
+    values = np.asarray(per_trial, dtype=float).reshape(-1, n)
+    trials = len(values)
+    columns = (np.repeat(np.arange(trials), n), np.tile(np.arange(n), trials), values.ravel())
+    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), columns)
 
 
-def _moment_rows(moment_vector):
-    stderrs = moment_vector.standard_errors
-    return [
-        (m, float(moment_vector.values[m]), None if stderrs is None else float(stderrs[m]))
-        for m in range(len(moment_vector.values))
-    ]
+_MOMENT_HEADER = ("m", "value", "stderr")
+
+
+def _moment_columns(values, stderrs) -> tuple:
+    """(m, value, stderr) columns for m = 0..; stderr cells are empty without standard errors (one trial)."""
+    return np.arange(len(values)), values, [None] * len(values) if stderrs is None else stderrs
 
 
 def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
@@ -254,7 +274,7 @@ def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
 
 def _cmd_sample(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = _trial_spectra(_checkerboard_params(config), config.trials)
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(s.eigenvalues for s in spectra))
+    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
     return {}, 0
 
 
@@ -262,8 +282,8 @@ def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = _trial_spectra(_checkerboard_params(config), config.trials)
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(s.eigenvalues for s in spectra))
-    artifacts.table("moments", ("m", "value", "stderr"), _moment_rows(moments), config.fmt)
+    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
+    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(average_measures(measures), config, artifacts)
     return {}, 0
 
@@ -281,8 +301,8 @@ def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     g, n, spectra, measures = _blip_trials(config)
     center = float(config.k - 1)
     moments = average_trial_moments(measures, config.max_m, center=center)
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(s.eigenvalues for s in spectra))
-    artifacts.table("moments", ("m", "value", "stderr"), _moment_rows(moments), config.fmt)
+    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
+    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(average_measures(measures), config, artifacts, value_range=default_blip_range(config.k))
     return {"g": g, "n": n, "moment_center": center}, 0
 
@@ -294,15 +314,10 @@ def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     per_trial = eigs[:, None, :] ** np.arange(config.max_m + 1)[None, :, None]
     traces = per_trial.sum(axis=2) / config.k  # (trials, max_m + 1)
     values = traces.mean(axis=0)
-    stderr = traces.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else np.zeros_like(values)
+    stderr = traces.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else None
     measure = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), _eigenvalue_rows(eigs))
-    artifacts.table(
-        "moments",
-        ("m", "value", "stderr"),
-        [(m, float(values[m]), float(stderr[m])) for m in range(config.max_m + 1)],
-        config.fmt,
-    )
+    _eigenvalue_table(artifacts, eigs, config.k)
+    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(values, stderr), config.fmt)
     emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))
     return {"ensemble": f"hollow-{algebra.value}"}, 0
 
@@ -312,8 +327,8 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     results = [
         hollow_moment_oracle(config.k, m, config.algebra, trials=config.trials, seed=config.seed) for m in orders
     ]
-    rows = [(r.m, r.value, r.stderr) for r in results]
-    artifacts.table("moments", ("m", "value", "stderr"), rows, config.fmt)
+    columns = (orders, [r.value for r in results], [r.stderr for r in results])
+    artifacts.table("moments", _MOMENT_HEADER, columns, config.fmt)
     artifacts.json(
         "oracle",
         {
@@ -444,7 +459,8 @@ _COMMAND_TABLE = {
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = asdict(config)
+    """Every field under its config-file key: the block works as a --config file for the same run."""
+    echo = {field.key: getattr(config, field.name) for field in _FIELDS}
     echo["out"] = str(config.out)
     return echo
 

@@ -107,20 +107,24 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
 
     ``comps`` has shape (components, ..., N, N); only the strict upper
     triangle of each draw is used, the lower triangle is its conjugate.
+    The sum goes into storage already spent (the draws themselves, or the
+    scaled complex grid) rather than into a new grid.
     """
     divisor = algebra.entry_divisor
     if algebra is DivisionAlgebra.REAL:
         upper = np.triu(comps[0], 1)
-        return upper + np.swapaxes(upper, -1, -2)
+        return np.add(upper, upper.swapaxes(-1, -2), out=comps[0])
     if algebra is DivisionAlgebra.COMPLEX:
-        upper = np.triu((comps[0] + 1j * comps[1]) / divisor, 1)
-        return upper + np.conj(np.swapaxes(upper, -1, -2))
-    parts = []
+        # one complex division by a float: dividing each part instead rounds differently
+        scaled = (comps[0] + 1j * comps[1]) / divisor
+        upper = np.triu(scaled, 1)
+        np.conj(upper.swapaxes(-1, -2), out=scaled)
+        return np.add(upper, scaled, out=scaled)
+    grid = np.empty((*comps.shape[1:], 4))
     for c in range(4):
         upper = np.triu(comps[c] / divisor, 1)
-        flip = np.swapaxes(upper, -1, -2)
-        parts.append(upper + flip if c == 0 else upper - flip)
-    return np.stack(parts, axis=-1)
+        (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=grid[..., c])
+    return grid
 
 
 def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> HermitianMatrix:

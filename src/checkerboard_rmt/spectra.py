@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
@@ -36,6 +37,7 @@ __all__ = [
 
 _KRAMERS_RTOL = 1e-8
 _TRACE_RTOL = 1e-8
+_BATCH_CHUNK = 4096  # matrices per pool task in batch_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,20 @@ def _collapse_doubled(vals: np.ndarray) -> np.ndarray:
 
 
 def batch_eigenvalues(batch: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
-    """Eigenvalues of a stack of self-adjoint grids, shape (trials, k)."""
+    """Eigenvalues of a stack of self-adjoint grids, shape (trials, k).
+
+    Chunks of the stack are solved on the trial pool. Every matrix is solved
+    on its own, so the result does not depend on the split or the workers.
+    """
     algebra = DivisionAlgebra.parse(algebra)
-    if algebra is DivisionAlgebra.QUATERNION:
-        return _collapse_doubled(np.linalg.eigvalsh(embed_quaternion_blocks(batch)))
-    return np.linalg.eigvalsh(batch)
+
+    def solve(part: np.ndarray) -> np.ndarray:
+        if algebra is DivisionAlgebra.QUATERNION:
+            return _collapse_doubled(np.linalg.eigvalsh(embed_quaternion_blocks(part)))
+        return np.linalg.eigvalsh(part)
+
+    parts = np.array_split(batch, max(1, math.ceil(len(batch) / _BATCH_CHUNK)))
+    return np.concatenate(parallel_map(solve, parts))
 
 
 def bulk_measure(spectrum: Spectrum) -> AtomicMeasure:
@@ -228,9 +239,6 @@ class HistogramTable:
     @property
     def bin_hi(self) -> np.ndarray:
         return self.bin_edges[1:]
-
-    def rows(self):
-        return list(zip(self.bin_lo.tolist(), self.bin_hi.tolist(), self.density.tolist()))
 
 
 def default_blip_range(k: int) -> tuple[float, float]:

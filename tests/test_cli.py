@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from checkerboard_rmt.cli import CSV_VERSION_LINE, main, resolve_config, run
+from checkerboard_rmt.cli import CSV_BLOCK_ROWS, CSV_VERSION_LINE, _csv_text, main, resolve_config, run
+from checkerboard_rmt.ensembles import CheckerboardParams, sample_checkerboard
+from checkerboard_rmt.spectra import eigensolve
 
 
 def _run_cli(args):
@@ -24,7 +26,7 @@ def test_blip_command_artifacts(tmp_path):
     assert names == {"eigenvalues.csv", "moments.csv", "histogram.csv", "histogram.gp", "manifest.json"}
     manifest = json.loads(_read(out / "manifest.json"))
     assert manifest["command"] == "blip"
-    assert manifest["config"]["dim"] == 60
+    assert manifest["config"]["N"] == 60
     assert manifest["config"]["seed"] == 3
     assert manifest["derived"]["g"] == 6
     assert manifest["derived"]["n"] == 8  # ceil(sqrt(60))
@@ -49,6 +51,62 @@ def test_identical_configs_are_byte_identical_across_workers(tmp_path, monkeypat
     assert manifests[0] == manifests[1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hollow", "--k", "16", "--trials", "9000", "--seed", "4"],
+        ["oracle", "--k", "2", "--m", "4", "--algebra", "quaternion", "--trials", "70000", "--seed", "4"],
+    ],
+    ids=["hollow-k16", "oracle-quaternion"],
+)
+def test_pooled_batch_chunks_are_byte_identical_across_workers(tmp_path, monkeypatch, argv):
+    # several eigensolve / Monte Carlo chunks, solved serially or on four threads
+    outputs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
+        out = tmp_path / threads
+        assert _run_cli([*argv, "--out", out]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert outputs[0] == outputs[1]
+
+
+def _per_cell_csv_text(header, rows):
+    """Reference writer: one conversion per cell, row by row."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value)).lower()
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    lines = [CSV_VERSION_LINE, ",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 17, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_csv_writer_matches_the_per_cell_rule(rows):
+    floats = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1 / 3, -2.5e300, 123456789.125]
+    singles = [-0.0, np.nan, -np.inf, 1e-45, 0.1, 3.4e38]
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    other = [None, True, False, np.True_, "x", "wick-exact", 7, 2.5, np.float64(0.1)]
+    columns = (
+        np.resize(np.array(floats), rows),
+        np.resize(np.array(singles, dtype=np.float32), rows),
+        np.resize(np.array([i64.min, i64.max, 0, -1], dtype=np.int64), rows),
+        np.resize(np.array([u64.max, 0], dtype=np.uint64), rows),
+        [other[i % len(other)] for i in range(rows)],
+    )
+    header = ("f64", "f32", "i64", "u64", "other")
+    expected = _per_cell_csv_text(header, zip(*columns))
+    assert _csv_text(header, columns) == expected
+
+
 def test_moment_table_json_format(tmp_path):
     out = tmp_path / "bulk"
     status = _run_cli(
@@ -61,11 +119,31 @@ def test_moment_table_json_format(tmp_path):
     assert payload["schema_version"] == 1
 
 
+@pytest.mark.parametrize("command", [["hollow", "--k", "2"], ["bulk", "--N", "10"], ["blip", "--N", "12", "--g", "1"]],
+                         ids=["hollow", "bulk", "blip"])
+def test_single_trial_moments_leave_stderr_empty(tmp_path, command):
+    # one trial has no spread to report: an empty cell, not a claim of zero error
+    out = tmp_path / command[0]
+    assert _run_cli([*command, "--trials", "1", "--max-m", "2", "--out", out]) == 0
+    rows = _read(out / "moments.csv").splitlines()[2:]
+    assert [row.split(",")[2] for row in rows] == ["", "", ""]
+
+
 def test_sample_command_row_count(tmp_path):
     out = tmp_path / "sample"
     _run_cli(["sample", "--k", "2", "--N", "10", "--trials", "3", "--out", out])
     rows = _read(out / "eigenvalues.csv").splitlines()[2:]
     assert len(rows) == 30
+
+
+def test_eigenvalue_table_lists_each_trial_in_index_order(tmp_path):
+    out = tmp_path / "sample"
+    assert _run_cli(["sample", "--k", "2", "--N", "5", "--trials", "3", "--seed", "4", "--out", out]) == 0
+    rows = [row.split(",") for row in _read(out / "eigenvalues.csv").splitlines()[2:]]
+    assert [(int(t), int(i)) for t, i, _ in rows] == [(t, i) for t in range(3) for i in range(5)]
+    params = CheckerboardParams(dim=5, k=2, seed=4)
+    expected = [eigensolve(sample_checkerboard(params, t)).eigenvalues for t in range(3)]
+    assert [float(v) for _, _, v in rows] == np.concatenate(expected).tolist()
 
 
 def test_hollow_command(tmp_path):
@@ -166,9 +244,24 @@ def test_config_file_precedence(tmp_path):
     status = _run_cli(["blip", "--config", cfg_path, "--seed", "11", "--out", out])
     assert status == 0
     manifest = json.loads(_read(out / "manifest.json"))
-    assert manifest["config"]["dim"] == 24  # from config file
+    assert manifest["config"]["N"] == 24  # from config file
     assert manifest["config"]["seed"] == 11  # flag overrides file
     assert manifest["derived"]["g"] == 3
+
+
+def test_manifest_config_reruns_the_same_experiment(tmp_path):
+    first = tmp_path / "first"
+    argv = ["--k", "3", "--N", "12", "--w", "0.5", "--algebra", "complex", "--dist", "rademacher", "--trials", "3",
+            "--max-m", "4", "--bins", "9", "--seed", "8", "--format", "json"]
+    assert _run_cli(["bulk", *argv, "--out", first]) == 0
+    cfg_path = tmp_path / "rerun.json"
+    cfg_path.write_text(json.dumps(json.loads(_read(first / "manifest.json"))["config"]))
+    second = tmp_path / "second"
+    assert _run_cli(["bulk", "--config", cfg_path, "--out", second]) == 0
+    for name in ("eigenvalues.csv", "moments.json", "histogram.csv", "histogram.gp"):
+        assert _read(first / name) == _read(second / name), name
+    configs = [json.loads(_read(run_dir / "manifest.json"))["config"] for run_dir in (first, second)]
+    assert {**configs[0], "out": None} == {**configs[1], "out": None}
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

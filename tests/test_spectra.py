@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, complex_embed
-from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
+from checkerboard_rmt.ensembles import (
+    CheckerboardParams,
+    HollowParams,
+    congruence_indicator_matrix,
+    sample_checkerboard,
+    sample_hollow_batch,
+)
 from checkerboard_rmt.exceptions import NumericalDegeneracyError, ParameterError
 from checkerboard_rmt.spectra import (
     AtomicMeasure,
@@ -67,6 +73,13 @@ def test_quaternion_path_matches_embedding():
     doubled = np.linalg.eigvalsh(complex_embed(m).data)
     assert np.allclose(direct, doubled[0::2], rtol=1e-8)
     assert np.allclose(direct, doubled[1::2], rtol=1e-8)
+
+
+@pytest.mark.parametrize("algebra", ["real", "complex"])
+def test_batch_eigenvalues_chunks_match_one_solve(algebra):
+    # 9000 matrices: three chunks on the trial pool, in order, each matrix solved on its own
+    batch = sample_hollow_batch(HollowParams(k=3, algebra=algebra, seed=4), 9000)
+    assert np.array_equal(batch_eigenvalues(batch, algebra), np.linalg.eigvalsh(batch))
 
 
 def test_bulk_measure_atoms():
