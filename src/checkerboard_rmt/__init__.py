@@ -30,6 +30,7 @@ from .spectra import (
     bulk_measure,
     eigensolve,
     histogram,
+    trial_spectra,
 )
 from .moments import (
     MomentVector,
@@ -74,6 +75,7 @@ __all__ = [
     "bulk_measure",
     "eigensolve",
     "histogram",
+    "trial_spectra",
     "MomentVector",
     "OracleResult",
     "alternating_binomial_sum",

@@ -15,12 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix
-from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_batch
+from .ensembles import CheckerboardParams, HollowParams, sample_hollow_batch
 from .exceptions import AlgebraMismatchError, DimensionError, ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from .moments import measure_moments
-from .spectra import AtomicMeasure, BlipConfig, Spectrum, batch_eigenvalues, blip_measure, bulk_measure, eigensolve
+from .spectra import (
+    AtomicMeasure,
+    BlipConfig,
+    Spectrum,
+    batch_eigenvalues,
+    blip_measure,
+    bulk_measure,
+    eigensolve,
+    trial_spectra,
+)
 
 __all__ = [
     "RegimeSplit",
@@ -111,14 +119,22 @@ def _fit_loglog(sizes: np.ndarray, values: np.ndarray) -> tuple:
     return float(slope), se
 
 
-def _bulk_moment_samples(k: int, ell: int, dim: int, trials: int, seed: int, w: float, trial_base: int) -> np.ndarray:
-    params = CheckerboardParams(dim=dim, k=k, w=w, seed=seed)
+def _size_samples(k: int, sizes: tuple, trials: int, seed: int, w: float, statistic) -> list:
+    """Per size, the array of statistic(spectrum) over its own block of trials.
 
-    def one(t: int) -> float:
-        spectrum = eigensolve(sample_checkerboard(params, trial_base + t))
-        return measure_moments(bulk_measure(spectrum), ell)[ell]
+    The size at position idx draws trials idx*trials .. (idx+1)*trials - 1 of
+    the real checkerboard ensemble (dim, k, w, seed).
+    """
+    samples = []
+    for idx, dim in enumerate(sizes):
+        params = CheckerboardParams(dim=dim, k=k, w=w, seed=seed)
+        spectra = trial_spectra(params, range(idx * trials, (idx + 1) * trials))
+        samples.append(np.array([statistic(s) for s in spectra]))
+    return samples
 
-    return np.array(parallel_map(one, range(trials)))
+
+def _bulk_moment(ell: int):
+    return lambda spectrum: measure_moments(bulk_measure(spectrum), ell)[ell]
 
 
 @dataclass(frozen=True)
@@ -135,19 +151,6 @@ class GrowthReport:
     slope: float
     slope_ci: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "w": self.w,
-            "sizes": list(self.sizes),
-            "estimates": list(self.estimates),
-            "stderrs": list(self.stderrs),
-            "trials": self.trials,
-            "slope": self.slope,
-            "slope_ci": list(self.slope_ci),
-        }
-
 
 def bulk_divergence_probe(
     k: int, ell: int, sizes, trials: int = 30, seed: int = 0, w: float = 1.0
@@ -163,8 +166,7 @@ def bulk_divergence_probe(
     if len(sizes) < 2:
         raise ParameterError("need at least two sizes to fit a slope")
     estimates, stderrs = [], []
-    for idx, dim in enumerate(sizes):
-        samples = _bulk_moment_samples(k, ell, dim, trials, seed, w, trial_base=idx * trials)
+    for samples in _size_samples(k, sizes, trials, seed, w, _bulk_moment(ell)):
         estimates.append(float(samples.mean()))
         stderrs.append(float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan"))
     slope, se = _fit_loglog(np.array(sizes), np.array(estimates))
@@ -184,17 +186,6 @@ class DecayReport:
     trials: int
     slope: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "sizes": list(self.sizes),
-            "variances": list(self.variances),
-            "means": list(self.means),
-            "trials": self.trials,
-            "slope": self.slope,
-        }
-
 
 def variance_decay_probe(k: int, ell: int, sizes, trials: int, seed: int = 0) -> DecayReport:
     """Sample variance of the ell-th bulk moment at each size (w = 0 ensemble).
@@ -212,8 +203,7 @@ def variance_decay_probe(k: int, ell: int, sizes, trials: int, seed: int = 0) ->
         )
     sizes = tuple(int(s) for s in sizes)
     variances, means = [], []
-    for idx, dim in enumerate(sizes):
-        samples = _bulk_moment_samples(k, ell, dim, trials, seed, 0.0, trial_base=idx * trials)
+    for samples in _size_samples(k, sizes, trials, seed, 0.0, _bulk_moment(ell)):
         variances.append(float(samples.var(ddof=1)) if trials > 1 else 0.0)
         means.append(float(samples.mean()))
     if all(v > 0 for v in variances) and len(sizes) >= 2:
@@ -317,16 +307,6 @@ class FluctuationReport:
     central_moments: tuple
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "r": self.r,
-            "sizes": list(self.sizes),
-            "central_moments": list(self.central_moments),
-            "trials": self.trials,
-        }
-
 
 def blip_moment_fluctuation_probe(k: int, m: int, sizes, trials: int, r: int = 2, seed: int = 0) -> FluctuationReport:
     """Spot-check that per-matrix blip moments stay bounded as N grows.
@@ -336,15 +316,10 @@ def blip_moment_fluctuation_probe(k: int, m: int, sizes, trials: int, r: int = 2
     if r < 1 or trials < 2:
         raise ParameterError(f"need r >= 1 and trials >= 2, got r={r}, trials={trials}")
     sizes = tuple(int(s) for s in sizes)
-    outcomes = []
-    for idx, dim in enumerate(sizes):
-        params = CheckerboardParams(dim=dim, k=k, w=1.0, seed=seed)
-        cfg = BlipConfig.for_dimension(dim, k)
 
-        def one(t: int, params=params, cfg=cfg, dim=dim) -> float:
-            spectrum = eigensolve(sample_checkerboard(params, t))
-            return measure_moments(blip_measure(spectrum, k, cfg), m)[m]
+    def blip_moment(spectrum: Spectrum) -> float:
+        cfg = BlipConfig.for_dimension(spectrum.source_dimension, k)
+        return measure_moments(blip_measure(spectrum, k, cfg), m)[m]
 
-        samples = np.array(parallel_map(one, range(idx * trials, (idx + 1) * trials)))
-        outcomes.append(float(np.mean((samples - samples.mean()) ** r)))
+    outcomes = [float(np.mean((s - s.mean()) ** r)) for s in _size_samples(k, sizes, trials, seed, 1.0, blip_moment)]
     return FluctuationReport(k, m, r, sizes, tuple(outcomes), trials)

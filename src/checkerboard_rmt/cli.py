@@ -21,7 +21,6 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._parallel import parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_batch
@@ -45,6 +44,7 @@ from .spectra import (
     default_blip_range,
     eigensolve,
     histogram,
+    trial_spectra,
 )
 
 CSV_VERSION_LINE = "# checkerboard-rmt v1"
@@ -246,10 +246,6 @@ def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, arti
 # ---------------------------------------------------------------------------
 
 
-def _trial_spectra(params: CheckerboardParams, trials: int):
-    return parallel_map(lambda t: eigensolve(sample_checkerboard(params, t)), range(trials))
-
-
 def _eigenvalue_table(artifacts: _Artifacts, per_trial, n: int) -> None:
     """eigenvalues.csv: (trial, index, eigenvalue) columns from one length-n eigenvalue array per trial."""
     values = np.asarray(per_trial, dtype=float).reshape(-1, n)
@@ -273,13 +269,13 @@ def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
 
 
 def _cmd_sample(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    spectra = _trial_spectra(_checkerboard_params(config), config.trials)
+    spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
     return {}, 0
 
 
 def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    spectra = _trial_spectra(_checkerboard_params(config), config.trials)
+    spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
     _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
@@ -293,7 +289,7 @@ def _blip_trials(config: ExperimentConfig) -> tuple:
     g = config.g if config.g is not None else default_average_count(config.dim)
     n = config.n if config.n is not None else default_blip_half_degree(config.dim)
     blip_cfg = BlipConfig.for_dimension(config.dim, config.k, n)
-    spectra = _trial_spectra(_checkerboard_params(config), g)
+    spectra = trial_spectra(_checkerboard_params(config), range(g))
     return g, n, spectra, [blip_measure(s, config.k, blip_cfg) for s in spectra]
 
 
@@ -354,7 +350,7 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 
 def _cmd_verify_split(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    spectra = _trial_spectra(_checkerboard_params(config), config.trials)
+    spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     per_trial = []
     all_ok = True
     for trial, spectrum in enumerate(spectra):

@@ -36,6 +36,8 @@ _DOMAIN_HOLLOW_BATCH = 3
 
 _MAX_SEED = 2**64
 _MAX_TRIAL = 2**48
+# Matrices of a batch assembled at a time: bounds the triangle copies alive at once.
+_ASSEMBLY_BLOCK = 4096
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -105,25 +107,37 @@ def _congruence_mask(dim: int, k: int) -> np.ndarray:
 def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Assemble a self-adjoint grid from component draws, zero diagonal.
 
-    ``comps`` has shape (components, ..., N, N); only the strict upper
-    triangle of each draw is used, the lower triangle is its conjugate.
-    The sum goes into storage already spent (the draws themselves, or the
-    scaled complex grid) rather than into a new grid.
+    ``comps`` has shape (components, [batch,] N, N); only the strict upper
+    triangle of each draw is used, the lower triangle is its conjugate.  A
+    batch is assembled _ASSEMBLY_BLOCK matrices at a time, so the triangle
+    copies stay small; real sums go into the spent draws themselves.
     """
     divisor = algebra.entry_divisor
     if algebra is DivisionAlgebra.REAL:
-        upper = np.triu(comps[0], 1)
-        return np.add(upper, upper.swapaxes(-1, -2), out=comps[0])
-    if algebra is DivisionAlgebra.COMPLEX:
-        # one complex division by a float: dividing each part instead rounds differently
-        scaled = (comps[0] + 1j * comps[1]) / divisor
-        upper = np.triu(scaled, 1)
-        np.conj(upper.swapaxes(-1, -2), out=scaled)
-        return np.add(upper, scaled, out=scaled)
-    grid = np.empty((*comps.shape[1:], 4))
-    for c in range(4):
-        upper = np.triu(comps[c] / divisor, 1)
-        (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=grid[..., c])
+        grid = comps[0]
+    elif algebra is DivisionAlgebra.COMPLEX:
+        grid = np.empty(comps.shape[1:], dtype=complex)
+    else:
+        grid = np.empty((*comps.shape[1:], 4))
+    if comps.ndim == 3:  # a single matrix is one block
+        blocks = [...]
+    else:
+        blocks = [slice(s, s + _ASSEMBLY_BLOCK) for s in range(0, comps.shape[1], _ASSEMBLY_BLOCK)]
+    for block in blocks:
+        draws, out = comps[:, block], grid[block]
+        if algebra is DivisionAlgebra.REAL:
+            upper = np.triu(draws[0], 1)
+            np.add(upper, upper.swapaxes(-1, -2), out=out)
+        elif algebra is DivisionAlgebra.COMPLEX:
+            # one complex division by a float: dividing each part instead rounds differently
+            np.divide(draws[0] + 1j * draws[1], divisor, out=out)
+            upper = np.triu(out, 1)
+            np.conj(upper.swapaxes(-1, -2), out=out)
+            np.add(upper, out, out=out)
+        else:
+            for c in range(4):
+                upper = np.triu(draws[c] / divisor, 1)
+                (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=out[..., c])
     return grid
 
 

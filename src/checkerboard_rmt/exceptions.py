@@ -41,9 +41,5 @@ class EnumerationBudgetError(CheckerboardError, RuntimeError):
     """An exact enumeration would exceed the configured budget."""
 
 
-class PrecisionLossError(CheckerboardError, ArithmeticError):
-    """Catastrophic cancellation detected in a floating-point accumulation."""
-
-
 class StatisticalPowerWarning(CheckerboardError, UserWarning):
     """A statistical probe was configured with too few trials to be conclusive."""

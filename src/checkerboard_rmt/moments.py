@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import HollowParams, sample_hollow_batch
-from .exceptions import EnumerationBudgetError, ParameterError, PrecisionLossError
+from .exceptions import EnumerationBudgetError, ParameterError
 from .spectra import AtomicMeasure, BlipConfig
 
 __all__ = [
@@ -56,10 +56,6 @@ class MomentVector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.standard_errors is not None:
             object.__setattr__(self, "standard_errors", np.asarray(self.standard_errors, dtype=float))
-
-    @property
-    def centered(self) -> bool:
-        return self.center != 0.0
 
     def __getitem__(self, m: int) -> float:
         return float(self.values[m])
@@ -309,16 +305,13 @@ def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
     return traces
 
 
-def trace_expansion_blip_moment(
-    matrix: HermitianMatrix, k: int, cfg: BlipConfig, m: int, *, exact: bool = True
-) -> float:
+def trace_expansion_blip_moment(matrix: HermitianMatrix, k: int, cfg: BlipConfig, m: int) -> float:
     """m-th blip moment of one fixed matrix via the binomial trace expansion.
 
     Algebraically identical to the directly weighted spectral moment
     sum f_n(k*lambda/N) (lambda - N/k)^m / k, but evaluated from traces of
     matrix powers.  The alternating sum cancels terms of size (N/k)^m down to
-    an O(1) result, so the default path uses exact rational arithmetic; the
-    floating path raises PrecisionLossError past 1e12 relative cancellation.
+    an O(1) result, so it is taken in exact rational arithmetic.
     """
     dim = matrix.dim
     cfg.check_dimension(dim, k)
@@ -327,29 +320,11 @@ def trace_expansion_blip_moment(
     if dim > 16 or cfg.n > 3:
         raise ParameterError(f"desk-scale evaluation requires dim <= 16 and n <= 3, got dim={dim}, n={cfg.n}")
     two_n = 2 * cfg.n
-    max_power = 2 * two_n + m
-    if exact:
-        traces = _exact_power_traces(matrix, max_power)
-        base = Fraction(-dim, k)
-        acc = Fraction(0)
-        for j in range(two_n + 1):
-            outer = math.comb(two_n, j)
-            for i in range(m + j + 1):
-                acc += outer * math.comb(m + j, i) * base ** (m - i) * traces[two_n + i]
-        return float(acc * Fraction(k, dim) ** two_n / k)
-    traces_f = [float(t) for t in _exact_power_traces(matrix, max_power)]
-    base_f = -dim / k
-    acc_f = 0.0
-    max_term = 0.0
+    traces = _exact_power_traces(matrix, 2 * two_n + m)
+    base = Fraction(-dim, k)
+    acc = Fraction(0)
     for j in range(two_n + 1):
         outer = math.comb(two_n, j)
         for i in range(m + j + 1):
-            term = outer * math.comb(m + j, i) * base_f ** (m - i) * traces_f[two_n + i]
-            acc_f += term
-            max_term = max(max_term, abs(term))
-    result = acc_f * (k / dim) ** two_n / k
-    if max_term > 0.0 and max_term > 1e12 * abs(acc_f):
-        raise PrecisionLossError(
-            f"cancellation of {max_term:.3e} down to {acc_f:.3e} exceeds 1e12; use the exact path"
-        )
-    return result
+            acc += outer * math.comb(m + j, i) * base ** (m - i) * traces[two_n + i]
+    return float(acc * Fraction(k, dim) ** two_n / k)

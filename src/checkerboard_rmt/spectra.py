@@ -1,10 +1,12 @@
 """Eigensolution and the empirical spectral measures.
 
-Three measures are built from a spectrum: the bulk measure (eigenvalues
-scaled by 1/sqrt(N), uniform weights), the blip measure (eigenvalues shifted
-by N/k and weighted by a steep polynomial that is ~1 near the k outlier
-eigenvalues and ~0 on the bulk), and the mean of such measures over
-several independent matrices.
+Every sampled spectrum comes from `trial_spectra` (trial t of an ensemble,
+drawn and solved on the trial pool), and every eigenvalue from one solver
+core shared by `eigensolve` and `batch_eigenvalues`.  Three measures are
+built from a spectrum: the bulk measure (eigenvalues scaled by 1/sqrt(N),
+uniform weights), the blip measure (eigenvalues shifted by N/k and weighted
+by a steep polynomial that is ~1 near the k outlier eigenvalues and ~0 on
+the bulk), and the mean of such measures over several independent matrices.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
+from .ensembles import CheckerboardParams, sample_checkerboard
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
 __all__ = [
@@ -27,6 +30,7 @@ __all__ = [
     "default_average_count",
     "eigensolve",
     "batch_eigenvalues",
+    "trial_spectra",
     "bulk_measure",
     "blip_weight",
     "blip_measure",
@@ -62,7 +66,6 @@ class AtomicMeasure:
 
     locations: np.ndarray
     weights: np.ndarray
-    normalization_note: str = ""
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float)
@@ -95,7 +98,6 @@ class BlipConfig:
 
     n: int
     shift: float
-    scale: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -105,41 +107,26 @@ class BlipConfig:
     def for_dimension(cls, dim: int, k: int, n: "int | None" = None) -> "BlipConfig":
         if not 1 <= k <= dim:
             raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-        return cls(n=n if n is not None else default_blip_half_degree(dim), shift=dim / k, scale=k / dim)
+        return cls(n=n if n is not None else default_blip_half_degree(dim), shift=dim / k)
 
     def check_dimension(self, dim: int, k: int) -> None:
         if self.shift != dim / k:
             raise ParameterError(f"blip config shift {self.shift} inconsistent with dim/k = {dim / k}")
 
 
-def eigensolve(matrix: HermitianMatrix) -> Spectrum:
-    """Eigenvalues of a self-adjoint matrix, ascending.
+def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
+    """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack.
 
-    Quaternion matrices are diagonalized through their complex embedding;
-    the doubled eigenvalue pairs are checked (relative 1e-8) and collapsed.
+    Quaternion grids are diagonalized through their complex embedding; the
+    doubled eigenvalue pairs are checked (relative 1e-8) and collapsed.
     """
-    if matrix.algebra is DivisionAlgebra.QUATERNION:
-        grid = embed_quaternion_blocks(matrix.data)
-    else:
-        grid = matrix.data
+    quaternion = algebra is DivisionAlgebra.QUATERNION
     try:
-        vals = np.linalg.eigvalsh(grid)
+        vals = np.linalg.eigvalsh(embed_quaternion_blocks(grid) if quaternion else grid)
     except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"eigendecomposition failed for dim={matrix.dim} algebra={matrix.algebra.value}: {exc}") from exc
-    if matrix.algebra is DivisionAlgebra.QUATERNION:
-        vals = _collapse_doubled(vals)
-    total = vals.sum()
-    trace = matrix.trace()
-    # written so that a NaN or inf spectrum fails the check too
-    if not (abs(total - trace) <= _TRACE_RTOL * max(1.0, abs(trace), float(np.abs(vals).sum()))):
-        raise NumericalDegeneracyError(
-            f"eigenvalue sum {total} disagrees with trace {trace} (dim={matrix.dim}, algebra={matrix.algebra.value})"
-        )
-    return Spectrum(vals, matrix.dim)
-
-
-def _collapse_doubled(vals: np.ndarray) -> np.ndarray:
-    """Keep every second eigenvalue of a spectrum with exact double multiplicity."""
+        raise EigensolveError(f"eigendecomposition failed for a {algebra.value} grid of shape {grid.shape}: {exc}") from exc
+    if not quaternion:
+        return vals
     first, second = vals[..., 0::2], vals[..., 1::2]
     scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
     bad = ~(np.abs(first - second) <= _KRAMERS_RTOL * scale)  # NaN and inf pairs are bad too
@@ -151,6 +138,19 @@ def _collapse_doubled(vals: np.ndarray) -> np.ndarray:
     return first
 
 
+def eigensolve(matrix: HermitianMatrix) -> Spectrum:
+    """Eigenvalues of a self-adjoint matrix, ascending, checked against its trace."""
+    vals = _eigenvalues(matrix.data, matrix.algebra)
+    total = vals.sum()
+    trace = matrix.trace()
+    # written so that a NaN or inf spectrum fails the check too
+    if not (abs(total - trace) <= _TRACE_RTOL * max(1.0, abs(trace), float(np.abs(vals).sum()))):
+        raise NumericalDegeneracyError(
+            f"eigenvalue sum {total} disagrees with trace {trace} (dim={matrix.dim}, algebra={matrix.algebra.value})"
+        )
+    return Spectrum(vals, matrix.dim)
+
+
 def batch_eigenvalues(batch: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Eigenvalues of a stack of self-adjoint grids, shape (trials, k).
 
@@ -158,14 +158,17 @@ def batch_eigenvalues(batch: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray
     on its own, so the result does not depend on the split or the workers.
     """
     algebra = DivisionAlgebra.parse(algebra)
-
-    def solve(part: np.ndarray) -> np.ndarray:
-        if algebra is DivisionAlgebra.QUATERNION:
-            return _collapse_doubled(np.linalg.eigvalsh(embed_quaternion_blocks(part)))
-        return np.linalg.eigvalsh(part)
-
     parts = np.array_split(batch, max(1, math.ceil(len(batch) / _BATCH_CHUNK)))
-    return np.concatenate(parallel_map(solve, parts))
+    return np.concatenate(parallel_map(lambda part: _eigenvalues(part, algebra), parts))
+
+
+def trial_spectra(params: CheckerboardParams, trials: range) -> list:
+    """Spectra of the given trial indices of an ensemble, in order, drawn and solved on the trial pool.
+
+    Trial t is `eigensolve(sample_checkerboard(params, t))`; its random
+    stream depends only on t, so the result does not depend on the workers.
+    """
+    return parallel_map(lambda t: eigensolve(sample_checkerboard(params, t)), trials)
 
 
 def bulk_measure(spectrum: Spectrum) -> AtomicMeasure:
@@ -173,11 +176,7 @@ def bulk_measure(spectrum: Spectrum) -> AtomicMeasure:
     n = spectrum.source_dimension
     if n < 1:
         raise ParameterError("empty spectrum")
-    return AtomicMeasure(
-        spectrum.eigenvalues / math.sqrt(n),
-        np.full(n, 1.0 / n),
-        normalization_note="probability measure: weight 1/N at eigenvalue/sqrt(N)",
-    )
+    return AtomicMeasure(spectrum.eigenvalues / math.sqrt(n), np.full(n, 1.0 / n))
 
 
 def blip_weight(x, n: int):
@@ -206,11 +205,7 @@ def blip_measure(spectrum: Spectrum, k: int, cfg: BlipConfig) -> AtomicMeasure:
     cfg.check_dimension(n_dim, k)
     lam = spectrum.eigenvalues
     weights = blip_weight(k * lam / n_dim, cfg.n) / k
-    return AtomicMeasure(
-        lam - cfg.shift,
-        weights,
-        normalization_note=f"blip measure: window half-degree n={cfg.n}, divided by k={k}",
-    )
+    return AtomicMeasure(lam - cfg.shift, weights)
 
 
 def average_measures(measures) -> AtomicMeasure:
@@ -221,7 +216,6 @@ def average_measures(measures) -> AtomicMeasure:
     return AtomicMeasure(
         np.concatenate([m.locations for m in measures]),
         np.concatenate([m.weights for m in measures]) / len(measures),
-        normalization_note=f"average of {len(measures)} measures",
     )
 
 

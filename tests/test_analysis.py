@@ -15,7 +15,8 @@ from checkerboard_rmt.analysis import (
 )
 from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import ParameterError, RegimeOverlapError, StatisticalPowerWarning
-from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, eigensolve
+from checkerboard_rmt.moments import measure_moments
+from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, bulk_measure, eigensolve
 
 from helpers import random_hermitian
 
@@ -199,3 +200,38 @@ def test_blip_moment_fluctuations_stay_bounded():
     values = np.array(report.central_moments)
     assert np.all(values > 0.0)
     assert values.max() <= 4.0 * values.min()
+
+
+def _serial_samples(k, sizes, trials, seed, w, statistic):
+    """Per size at position idx, statistic over trials idx*trials .. (idx+1)*trials - 1, solved one by one."""
+    samples = []
+    for idx, dim in enumerate(sizes):
+        params = CheckerboardParams(dim=dim, k=k, w=w, seed=seed)
+        trial_range = range(idx * trials, (idx + 1) * trials)
+        samples.append(np.array([statistic(eigensolve(sample_checkerboard(params, t))) for t in trial_range]))
+    return samples
+
+
+def test_probes_equal_serial_trial_blocks():
+    sizes = (16, 24, 30)
+
+    def bulk4(spectrum):
+        return measure_moments(bulk_measure(spectrum), 4)[4]
+
+    growth = bulk_divergence_probe(2, 4, sizes, trials=3, seed=5, w=1.5)
+    expected = _serial_samples(2, sizes, 3, 5, 1.5, bulk4)
+    assert growth.estimates == tuple(float(s.mean()) for s in expected)
+    assert growth.stderrs == tuple(float(s.std(ddof=1) / np.sqrt(3)) for s in expected)
+
+    decay = variance_decay_probe(2, 4, sizes, trials=20, seed=5)
+    expected = _serial_samples(2, sizes, 20, 5, 0.0, bulk4)
+    assert decay.variances == tuple(float(s.var(ddof=1)) for s in expected)
+    assert decay.means == tuple(float(s.mean()) for s in expected)
+
+    def blip2(spectrum):
+        cfg = BlipConfig.for_dimension(spectrum.source_dimension, 2)
+        return measure_moments(blip_measure(spectrum, 2, cfg), 2)[2]
+
+    fluctuation = blip_moment_fluctuation_probe(2, 2, sizes, trials=4, r=3, seed=5)
+    expected = _serial_samples(2, sizes, 4, 5, 1.0, blip2)
+    assert fluctuation.central_moments == tuple(float(np.mean((s - s.mean()) ** 3)) for s in expected)

@@ -1,6 +1,7 @@
 """Checkerboard and hollow samplers: patterns, normalization, determinism."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,8 @@ _GOLDEN_CHECKERBOARD = {
     ("quaternion", "rademacher"): "75889ab04fffd2a8",
 }
 _GOLDEN_HOLLOW_BATCH = {"real": "55fe7119f2718eb2", "complex": "2a5c3a7a4e5f415f", "quaternion": "bb339e2b5104cfe9"}
+# 9000 matrices span three assembly blocks
+_GOLDEN_BLOCKED_BATCH = {"real": "fc14eea3311cec07", "complex": "18fa42d41c71327b", "quaternion": "8b12961bc3370152"}
 
 
 def _digest(array):
@@ -160,3 +163,20 @@ def test_checkerboard_bytes_are_pinned(algebra, dist):
 def test_hollow_batch_bytes_are_pinned(algebra):
     batch = sample_hollow_batch(HollowParams(k=4, algebra=algebra, seed=11), 6, batch_index=2)
     assert _digest(batch) == _GOLDEN_HOLLOW_BATCH[algebra]
+
+
+@pytest.mark.parametrize("algebra", sorted(_GOLDEN_BLOCKED_BATCH))
+def test_blocked_hollow_batch_bytes_are_pinned(algebra):
+    batch = sample_hollow_batch(HollowParams(k=2, algebra=algebra, seed=5), 9000, batch_index=1)
+    assert _digest(batch) == _GOLDEN_BLOCKED_BATCH[algebra]
+
+
+def test_hollow_batch_assembles_without_a_full_copy():
+    # the draws become the output; only one block of triangle copies is alive at a time
+    tracemalloc.start()
+    try:
+        batch = sample_hollow_batch(HollowParams(16), 32768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * batch.nbytes

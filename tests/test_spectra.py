@@ -13,7 +13,7 @@ from checkerboard_rmt.ensembles import (
     sample_checkerboard,
     sample_hollow_batch,
 )
-from checkerboard_rmt.exceptions import NumericalDegeneracyError, ParameterError
+from checkerboard_rmt.exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 from checkerboard_rmt.spectra import (
     AtomicMeasure,
     BlipConfig,
@@ -27,6 +27,7 @@ from checkerboard_rmt.spectra import (
     default_blip_half_degree,
     eigensolve,
     histogram,
+    trial_spectra,
 )
 
 from helpers import random_hermitian
@@ -80,6 +81,33 @@ def test_batch_eigenvalues_chunks_match_one_solve(algebra):
     # 9000 matrices: three chunks on the trial pool, in order, each matrix solved on its own
     batch = sample_hollow_batch(HollowParams(k=3, algebra=algebra, seed=4), 9000)
     assert np.array_equal(batch_eigenvalues(batch, algebra), np.linalg.eigvalsh(batch))
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("algebra", ["real", "complex", "quaternion"])
+def test_trial_spectra_equal_serial_solves(algebra, threads, monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
+    params = CheckerboardParams(dim=12, k=3, w=1.5, algebra=algebra, seed=9)
+    pooled = trial_spectra(params, range(3, 7))
+    serial = [eigensolve(sample_checkerboard(params, t)) for t in range(3, 7)]
+    assert len(pooled) == len(serial) == 4
+    for got, expected in zip(pooled, serial):
+        assert got.source_dimension == expected.source_dimension == 12
+        assert np.array_equal(got.eigenvalues, expected.eigenvalues)
+
+
+@pytest.mark.parametrize("algebra", ["real", "quaternion"])
+def test_failed_eigendecomposition_is_an_eigensolve_error(algebra, monkeypatch):
+    def fail(grid):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    batch = sample_hollow_batch(HollowParams(k=3, algebra=algebra, seed=4), 10)
+    matrix = sample_checkerboard(CheckerboardParams(dim=6, k=2, algebra=algebra), 0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(EigensolveError, match="did not converge"):
+        batch_eigenvalues(batch, algebra)
+    with pytest.raises(EigensolveError, match="did not converge"):
+        eigensolve(matrix)
 
 
 def test_bulk_measure_atoms():
