@@ -1,18 +1,19 @@
 """Moment computations: empirical, closed-form, and exact-enumeration oracles.
 
 The centered limit of the blip measure's m-th moment equals the m-th spectral
-moment of the k x k hollow Gaussian ensemble, (1/k) E tr B^m.  For real and
-complex entries that expectation is computed exactly by one walker over the
-closed index walks of tr B^m, labelled in order of first visit; a per-algebra
-rule scores each walk by its Gaussian pairing count.  For quaternions the
-oracle falls back to Monte Carlo.  The per-matrix binomial trace expansion
-takes its traces of matrix powers in exact integer arithmetic, after scaling
-the dyadic float entries by a common power of two.
+moment of the k x k hollow Gaussian ensemble, (1/k) E tr B^m.  That
+expectation is computed exactly, for real, complex and quaternion entries, by
+one walker over the closed index walks of tr B^m, labelled in order of first
+visit; quaternion walks run over the 2k x 2k complex embedding.  A per-algebra
+rule scores each walk by its Gaussian pairing count.  The per-matrix binomial
+trace expansion takes its traces of matrix powers in exact integer arithmetic,
+after scaling the dyadic float entries by a common power of two.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -122,58 +123,78 @@ def alternating_binomial_sum(m: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Per-edge Wick rules, keyed by algebra, on an edge's traversal counts
-# (f low-to-high, b high-to-low).  deficit: how many more traversals the edge
-# needs before it can be fully paired; score: the number of such pairings.
+# Per-algebra Wick rules.  A step from block I to block J != I, leaving row
+# parity s for column parity t, reads one slot of edge {I, J} with a sign:
+# steps[I < J][s] lists the (t, slot, sign) choices.  Real and complex walks
+# have one parity; quaternion walks run over the 2k x 2k embedding, whose
+# blocks hold commuting complex Gaussians.  deficit(counts): how many more
+# reads an edge needs before it can be fully paired; score(counts): the number
+# of such pairings of a balanced edge.
 _WICK_RULES = {
     DivisionAlgebra.REAL: (
-        lambda f, b: (f + b) & 1,
-        lambda f, b: 0 if (f + b) & 1 else math.prod(range(f + b - 1, 0, -2)),
+        ((((0, 0, 1),),), (((0, 0, 1),),)),  # I > J, I < J: one parity, one slot
+        lambda c: c[0] & 1,
+        lambda c: math.prod(range(c[0] - 1, 0, -2)),
     ),
     DivisionAlgebra.COMPLEX: (
-        lambda f, b: abs(f - b),
-        lambda f, b: math.factorial(f) if f == b else 0,
+        ((((0, 1, 1),),), (((0, 0, 1),),)),  # slot z read low-to-high, conj(z) high-to-low
+        lambda c: abs(c[0] - c[1]),
+        lambda c: math.factorial(c[0]),
+    ),
+    DivisionAlgebra.QUATERNION: (
+        # slots a, conj(a), b, conj(b) of q = a + b j on edge {I < J}: embed_quaternion_blocks
+        # puts [[a, b], [-conj(b), conj(a)]] at (I, J) and [[conj(a), -b], [conj(b), a]] at (J, I)
+        (
+            (((0, 1, 1), (1, 2, -1)), ((0, 3, 1), (1, 0, 1))),  # I > J, from parity 0 and from parity 1
+            (((0, 0, 1), (1, 2, 1)), ((0, 3, -1), (1, 1, 1))),  # I < J
+        ),
+        lambda c: abs(c[0] - c[1]) + abs(c[2] - c[3]),
+        lambda c: math.factorial(c[0]) * math.factorial(c[2]),
     ),
 }
 
 
 @lru_cache(maxsize=None)
-def _exact_hollow_trace_moment(k: int, m: int, algebra: DivisionAlgebra) -> int:
-    """E tr B^m over the k x k hollow GOE or GUE, as an exact integer.
+def _exact_hollow_trace_moment(k: int, m: int, algebra: DivisionAlgebra) -> Fraction:
+    """E tr B^m over the k x k hollow GOE, GUE or GSE, exactly.
 
-    Sums over closed index walks of length m with no self-loops; a walk scores
-    the number of ways to pair each entry with an equal one (real: the same
-    unordered index pair, (c-1)!! per edge traversed c times) or with its
-    conjugate (complex: p! per edge traversed p times each way).  Scores depend
-    only on the walk's equality pattern, so vertices are labelled in order of
-    first visit and each new label stands for the k - used unvisited indices.
+    Sums over closed walks of length m with no self-loops; a walk scores its
+    sign times the number of ways to pair each entry read with an equal one
+    (real: the same unordered index pair, (c-1)!! per edge read c times) or
+    with its conjugate (complex and quaternion slots: p! per slot read p times
+    each way).  Scores depend only on the walk's equality pattern, so blocks
+    are labelled in order of first visit and each new label stands for the
+    k - used unvisited indices.  Walks start and close at parity 0: both rows
+    of a diagonal block carry the same diagonal entry of B^m.
     """
     if m % 2:
-        return 0  # the deficits sum to m mod 2, so some edge stays unpaired
-    deficit, score = _WICK_RULES[algebra]
-    counts: dict = {}  # (low, high) -> (forward, backward) traversal counts
+        return Fraction(0)  # the deficits sum to m mod 2, so some edge stays unpaired
+    steps, deficit, score = _WICK_RULES[algebra]
+    closing = tuple(tuple(moves[:1] for moves in side) for side in steps)  # to parity 0, listed first
+    counts: dict = defaultdict(lambda: [0, 0, 0, 0])  # (low, high) -> reads per slot
 
-    def walk(pos: int, prev: int, used: int, short: int) -> int:
+    def walk(pos: int, prev: int, parity: int, used: int, short: int) -> int:
         remaining = m - pos
         if remaining == 0:
-            return math.prod(score(f, b) for f, b in counts.values())
+            return math.prod(score(c) for c in counts.values())
         acc = 0
+        table = steps if remaining > 1 else closing
         for nxt in range(min(used + 1, k)) if remaining > 1 else (0,):  # the last step closes the walk
             if nxt == prev:
                 continue
-            edge = (prev, nxt) if prev < nxt else (nxt, prev)
-            old = counts.get(edge, (0, 0))
-            new = (old[0] + 1, old[1]) if prev < nxt else (old[0], old[1] + 1)
-            after = short - deficit(*old) + deficit(*new)
-            if after >= remaining:
-                continue  # each later step closes at most one unit of deficit
-            counts[edge] = new
-            branch = walk(pos + 1, nxt, used + (nxt == used), after)
-            acc += branch if nxt < used else (k - used) * branch
-            counts[edge] = old  # an untraversed (0, 0) edge has deficit 0 and scores 1
+            c = counts[(prev, nxt) if prev < nxt else (nxt, prev)]
+            for t, slot, sign in table[prev < nxt][parity]:
+                before = deficit(c)
+                c[slot] += 1
+                after = short - before + deficit(c)
+                if after < remaining:  # each later step closes at most one unit of deficit
+                    branch = walk(pos + 1, nxt, t, used + (nxt == used), after)
+                    acc += sign * (branch if nxt < used else (k - used) * branch)
+                c[slot] -= 1  # an unread edge has deficit 0 and scores 1
         return acc
 
-    return k * walk(0, 0, 1, 0)
+    # the unit entry variance E|q|^2 splits evenly over the parities' slot pairs
+    return k * walk(0, 0, 0, 1, 0) * Fraction(1, len(steps[0])) ** (m // 2)
 
 
 @dataclass(frozen=True)
@@ -184,10 +205,7 @@ class OracleResult:
     m: int
     algebra: DivisionAlgebra
     value: float
-    method: str  # "wick-exact" or "monte-carlo"
-    exact: "Fraction | None" = None
-    stderr: "float | None" = None
-    trials: "int | None" = None
+    exact: Fraction
 
 
 def monte_carlo_hollow_moment(
@@ -223,38 +241,23 @@ def monte_carlo_hollow_moment(
     return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials))
 
 
-def hollow_moment_oracle(
-    k: int,
-    m: int,
-    algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL,
-    *,
-    trials: int = 200_000,
-    seed: int = 0,
-) -> OracleResult:
-    """(1/k) E tr B^m: exact Wick enumeration for real/complex, Monte Carlo for quaternion."""
+def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> OracleResult:
+    """(1/k) E tr B^m by exact Wick enumeration, for real, complex and quaternion entries."""
     algebra = DivisionAlgebra.parse(algebra)
     if k < 1 or m < 0:
         raise ParameterError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
-    if algebra is DivisionAlgebra.QUATERNION:
-        mean, stderr = monte_carlo_hollow_moment(k, m, algebra, trials=trials, seed=seed)
-        return OracleResult(k, m, algebra, mean, "monte-carlo", stderr=stderr, trials=trials)
-    if k**m > ENUMERATION_BUDGET:
+    walks = (k * len(_WICK_RULES[algebra][0][0])) ** m  # on the k x k matrix, or its 2k x 2k embedding
+    if walks > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration of k^m = {k**m} index walks exceeds the {ENUMERATION_BUDGET} budget; "
-            "use monte_carlo_hollow_moment instead"
+            f"enumeration of {walks} index walks exceeds the {ENUMERATION_BUDGET} budget; "
+            "sample instead with the hollow command or monte_carlo_hollow_moment"
         )
-    exact = Fraction(_exact_hollow_trace_moment(k, m, algebra), k)
-    return OracleResult(k, m, algebra, float(exact), "wick-exact", exact=exact)
+    exact = _exact_hollow_trace_moment(k, m, algebra) / k
+    return OracleResult(k, m, algebra, float(exact), exact)
 
 
 def blip_limit_moment(
-    k: int,
-    m: int,
-    algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL,
-    centered: bool = True,
-    *,
-    trials: int = 200_000,
-    seed: int = 0,
+    k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL, centered: bool = True
 ) -> float:
     """Limiting m-th moment of the blip measure.
 
@@ -263,14 +266,9 @@ def blip_limit_moment(
     (1/k) sum_j C(m, j) (k-1)^(m-j) E tr B^j.
     """
     algebra = DivisionAlgebra.parse(algebra)
-
-    def oracle_value(order):
-        res = hollow_moment_oracle(k, order, algebra, trials=trials, seed=seed)
-        return res.exact if res.exact is not None else res.value
-
     if centered:
-        return float(oracle_value(m))
-    total = sum(math.comb(m, j) * (k - 1) ** (m - j) * oracle_value(j) for j in range(m + 1))
+        return float(hollow_moment_oracle(k, m, algebra).exact)
+    total = sum(math.comb(m, j) * (k - 1) ** (m - j) * hollow_moment_oracle(k, j, algebra).exact for j in range(m + 1))
     return float(total)
 
 

@@ -19,6 +19,7 @@ from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_
 from checkerboard_rmt.moments import (
     alternating_binomial_sum,
     average_trial_moments,
+    blip_limit_moment,
     hollow_moment_oracle,
     measure_moments,
     monte_carlo_hollow_moment,
@@ -83,16 +84,15 @@ def test_criterion_03_oracle_closed_forms():
 
 
 def test_criterion_04_oracle_matches_sampling():
-    exact = hollow_moment_oracle(3, 4)
-    enumeration_ok = exact.exact == 10  # reproduces the hand-computed pairing count
-    mean, stderr = monte_carlo_hollow_moment(3, 4, trials=10_000, seed=404)
-    distance = abs(mean - float(exact.exact))
-    _verdict(
-        4,
-        "oracle vs Monte Carlo",
-        enumeration_ok and distance <= 4 * stderr,
-        f"enumeration {exact.exact}, MC {mean:.3f} +/- {stderr:.3f} ({distance / stderr:.2f} SE away)",
-    )
+    details = []
+    ok = True
+    for algebra, pairings in (("real", 10), ("quaternion", 7)):  # the hand-computed pairing counts
+        exact = hollow_moment_oracle(3, 4, algebra).exact
+        mean, stderr = monte_carlo_hollow_moment(3, 4, algebra, trials=10_000, seed=404)
+        distance = abs(mean - float(exact))
+        ok = ok and exact == pairings and distance <= 4 * stderr
+        details.append(f"{algebra} enumeration {exact}, MC {mean:.3f} +/- {stderr:.3f} ({distance / stderr:.2f} SE away)")
+    _verdict(4, "oracle vs Monte Carlo", ok, "; ".join(details))
 
 
 def test_criterion_05_two_regimes():
@@ -160,10 +160,10 @@ def test_criterion_09_variance_decay_and_divergence():
 
 
 def test_criterion_10_blip_ordering_across_algebras():
-    cases = [("real", 4, 3.0), ("complex", 4, 2.0), ("quaternion", 1, 1.5)]
     details = []
     ok = True
-    for algebra, seed, target in cases:
+    for algebra, seed in (("real", 4), ("complex", 4), ("quaternion", 1)):
+        target = blip_limit_moment(2, 4, algebra)  # 3, 2 and 3/2
         m4 = _blip_moments(seed=seed, algebra=algebra)[4]
         ok = ok and abs(m4 - target) <= 0.5
         details.append(f"{algebra} m4={m4:.3f} (target {target} +/- 0.5)")

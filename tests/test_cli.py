@@ -55,12 +55,12 @@ def test_identical_configs_are_byte_identical_across_workers(tmp_path, monkeypat
     "argv",
     [
         ["hollow", "--k", "16", "--trials", "9000", "--seed", "4"],
-        ["oracle", "--k", "2", "--m", "4", "--algebra", "quaternion", "--trials", "70000", "--seed", "4"],
+        ["hollow", "--k", "3", "--algebra", "quaternion", "--trials", "9000", "--seed", "4"],
     ],
-    ids=["hollow-k16", "oracle-quaternion"],
+    ids=["hollow-k16", "hollow-quaternion"],
 )
 def test_pooled_batch_chunks_are_byte_identical_across_workers(tmp_path, monkeypatch, argv):
-    # several eigensolve / Monte Carlo chunks, solved serially or on four threads
+    # several eigensolve chunks, solved serially or on four threads
     outputs = []
     for threads in ("1", "4"):
         monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
@@ -162,7 +162,6 @@ def test_oracle_single_order(tmp_path, capsys):
     assert "10.0 (exact 10)" in capsys.readouterr().out
     payload = json.loads(_read(out / "oracle.json"))
     assert payload["results"][0]["exact"] == "10"
-    assert payload["results"][0]["method"] == "wick-exact"
 
 
 def test_oracle_table_and_quaternion(tmp_path):
@@ -173,9 +172,8 @@ def test_oracle_table_and_quaternion(tmp_path):
     assert status == 0
     payload = json.loads(_read(out / "oracle.json"))
     assert [r["m"] for r in payload["results"]] == [0, 1, 2, 3, 4]
-    assert all(r["method"] == "monte-carlo" for r in payload["results"][1:])
-    m4 = payload["results"][4]
-    assert abs(m4["value"] - 1.5) < 5 * m4["stderr"]
+    assert [r["exact"] for r in payload["results"]] == ["1", "0", "1", "0", "3/2"]
+    assert all(set(r) == {"m", "value", "exact"} for r in payload["results"])
 
 
 def test_verify_identities_passes(tmp_path):

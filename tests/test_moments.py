@@ -23,6 +23,8 @@ from checkerboard_rmt.moments import (
 )
 from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, eigensolve
 
+ALGEBRAS = ("real", "complex", "quaternion")
+
 
 def test_single_atom_moments():
     mv = measure_moments(AtomicMeasure(np.array([3.0]), np.array([1.0])), 4)
@@ -84,8 +86,8 @@ def test_alternating_binomial_sum_bounds():
 
 def test_oracle_second_moment_closed_form():
     for k in range(2, 7):
-        assert hollow_moment_oracle(k, 2).exact == k - 1
-        assert hollow_moment_oracle(k, 2, "complex").exact == k - 1
+        for algebra in ALGEBRAS:
+            assert hollow_moment_oracle(k, 2, algebra).exact == k - 1, (k, algebra)
 
 
 def test_oracle_odd_moments_vanish():
@@ -93,14 +95,26 @@ def test_oracle_odd_moments_vanish():
         for m in range(1, 10, 2):
             assert hollow_moment_oracle(k, m).exact == 0
             assert hollow_moment_oracle(k, m, "complex").exact == 0
+            if m < 9:  # (2k)^9 quaternion walks exceed the budget from k = 4
+                assert hollow_moment_oracle(k, m, "quaternion").exact == 0
 
 
 def test_oracle_gaussian_values_at_k2():
     # the 2x2 hollow ensemble has eigenvalues +/-|b|, so real moments are Gaussian, (m-1)!!,
-    # and complex |b|^2 is a unit exponential, so E|b|^m = (m/2)!
+    # complex |b|^2 is a unit exponential, so E|b|^m = (m/2)!, and quaternion |b|^2 is a
+    # Gamma(2, 1/2) variable, so E|b|^m = (m/2 + 1)! / 2^(m/2)
     for m in range(2, 27, 2):
         assert hollow_moment_oracle(2, m).exact == math.prod(range(m - 1, 0, -2)), m
         assert hollow_moment_oracle(2, m, "complex").exact == math.factorial(m // 2), m
+    for m in range(2, 13, 2):
+        assert hollow_moment_oracle(2, m, "quaternion").exact == Fraction(math.factorial(m // 2 + 1), 2 ** (m // 2)), m
+
+
+def test_oracle_fourth_moment_closed_forms():
+    for k in range(2, 8):
+        assert hollow_moment_oracle(k, 4).exact == (k - 1) * (2 * k - 1), k
+        assert hollow_moment_oracle(k, 4, "complex").exact == 2 * (k - 1) ** 2, k
+        assert hollow_moment_oracle(k, 4, "quaternion").exact == Fraction((k - 1) * (4 * k - 5), 2), k
 
 
 def test_oracle_three_by_three_fourth_moment():
@@ -110,26 +124,36 @@ def test_oracle_three_by_three_fourth_moment():
     assert hollow_moment_oracle(4, 8).exact == 2589
     assert hollow_moment_oracle(7, 8).exact == 27930
     assert hollow_moment_oracle(3, 8, "complex").exact == 272
+    # quaternion: frozen values, each equal to an independent brute-force Wick sum
+    pins = {
+        (3, 4): 7, (4, 4): Fraction(33, 2), (5, 4): 30, (6, 4): Fraction(95, 2),
+        (3, 6): 29, (4, 6): 108, (5, 6): 270, (6, 6): 545,
+        (3, 8): 138, (4, 8): Fraction(1569, 2), (5, 8): 2676,
+        (2, 10): Fraction(45, 2), (3, 10): Fraction(1485, 2),
+    }
+    for (k, m), expected in pins.items():
+        assert hollow_moment_oracle(k, m, "quaternion").exact == expected, (k, m)
 
 
 def test_oracle_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         hollow_moment_oracle(12, 9)
+    with pytest.raises(EnumerationBudgetError, match="hollow command or monte_carlo_hollow_moment"):
+        hollow_moment_oracle(2, 14, "quaternion")  # 4^14 walks on the 4 x 4 embedding
+    assert hollow_moment_oracle(2, 12, "quaternion").exact == Fraction(5040, 64)
 
 
-def test_oracle_quaternion_uses_monte_carlo():
-    result = hollow_moment_oracle(2, 4, "quaternion", trials=20000, seed=3)
-    assert result.method == "monte-carlo"
-    assert result.stderr is not None
-    assert abs(result.value - 1.5) < 5 * result.stderr
+def test_oracle_quaternion_is_exact():
+    assert hollow_moment_oracle(2, 4, "quaternion").exact == Fraction(3, 2)
 
 
 def test_oracle_against_monte_carlo():
-    for k in (2, 3, 4):
-        for m in (2, 4, 6):
-            exact = hollow_moment_oracle(k, m).value
-            mean, stderr = monte_carlo_hollow_moment(k, m, trials=10_000, seed=100 * k + m)
-            assert abs(mean - exact) <= 4 * stderr, (k, m, mean, exact, stderr)
+    for algebra in ALGEBRAS:
+        for k in (2, 3, 4):
+            for m in (2, 4, 6):
+                exact = hollow_moment_oracle(k, m, algebra).value
+                mean, stderr = monte_carlo_hollow_moment(k, m, algebra, trials=10_000, seed=100 * k + m)
+                assert abs(mean - exact) <= 4 * stderr, (algebra, k, m, mean, exact, stderr)
 
 
 def test_gaussian_domination_bound():
@@ -146,6 +170,7 @@ def test_blip_limit_moments():
     assert blip_limit_moment(2, 2) == pytest.approx(1.0)
     assert blip_limit_moment(2, 4) == pytest.approx(3.0)
     assert blip_limit_moment(2, 4, "complex") == pytest.approx(2.0)
+    assert blip_limit_moment(2, 4, "quaternion") == 1.5
 
 
 def test_trace_expansion_mass_term():
