@@ -21,6 +21,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
+from ._parallel import parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_batch
@@ -49,7 +50,7 @@ from .spectra import (
 
 CSV_VERSION_LINE = "# checkerboard-rmt v1"
 SCHEMA_VERSION = 1
-# Rows formatted per block: bounds the per-row strings alive at once.
+# Rows formatted per block, one block per pool item: bounds the per-row strings alive at once.
 CSV_BLOCK_ROWS = 65_536
 
 
@@ -157,13 +158,14 @@ def _cells(column) -> Iterator[str]:
 
 
 def _csv_text(header, columns) -> str:
-    """The CSV text of equal-length columns, formatted a block of rows at a time."""
-    rows = len(columns[0])
-    blocks = [CSV_VERSION_LINE, ",".join(header)]
-    for start in range(0, rows, CSV_BLOCK_ROWS):
+    """The CSV text of equal-length columns, formatted a block of rows at a time on the trial pool."""
+
+    def block(start: int) -> str:
         cells = [_cells(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
-        blocks.append("\n".join(map(",".join, zip(*cells, strict=True))))
-    return "\n".join(blocks) + "\n"
+        return "\n".join(map(",".join, zip(*cells, strict=True)))
+
+    blocks = parallel_map(block, range(0, len(columns[0]), CSV_BLOCK_ROWS))
+    return "\n".join([CSV_VERSION_LINE, ",".join(header), *blocks]) + "\n"
 
 
 def _json_text(payload: dict) -> str:

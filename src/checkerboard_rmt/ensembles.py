@@ -99,9 +99,10 @@ class HollowParams:
         _validate_seed(self.seed)
 
 
-def _congruence_mask(dim: int, k: int) -> np.ndarray:
-    idx = np.arange(dim)
-    return (np.subtract.outer(idx, idx) % k) == 0
+def _set_congruent(data: np.ndarray, k: int, value) -> None:
+    """Write `value` at every position i = j mod k of a grid: one strided block per residue."""
+    for r in range(k):
+        data[r::k, r::k] = value
 
 
 def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
@@ -147,12 +148,8 @@ def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> Hermiti
     rng = _stream(params.seed, _DOMAIN_CHECKERBOARD, trial_index)
     comps = _component_draws(rng, params.distribution, (params.algebra.components, n, n))
     data = _hermitian_from_upper(comps, params.algebra)
-    mask = _congruence_mask(n, k)
-    if params.algebra is DivisionAlgebra.QUATERNION:
-        data[mask] = 0.0
-        data[mask, 0] = params.w
-    else:
-        data[mask] = params.w
+    quaternion = params.algebra is DivisionAlgebra.QUATERNION
+    _set_congruent(data, k, (params.w, 0.0, 0.0, 0.0) if quaternion else params.w)
     return HermitianMatrix(data, params.algebra)
 
 
@@ -178,5 +175,6 @@ def congruence_indicator_matrix(dim: int, k: int, w: float) -> HermitianMatrix:
     """
     if not 1 <= k <= dim:
         raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    data = np.where(_congruence_mask(dim, k), float(w), 0.0)
+    data = np.zeros((dim, dim))
+    _set_congruent(data, k, float(w))
     return HermitianMatrix(data, DivisionAlgebra.REAL)

@@ -247,7 +247,7 @@ def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = Divi
     if k < 1 or m < 0:
         raise ParameterError(f"need k >= 1 and m >= 0, got k={k}, m={m}")
     walks = (k * len(_WICK_RULES[algebra][0][0])) ** m  # on the k x k matrix, or its 2k x 2k embedding
-    if walks > ENUMERATION_BUDGET:
+    if walks > ENUMERATION_BUDGET and m % 2 == 0:  # odd orders are exactly 0 without a walk
         raise EnumerationBudgetError(
             f"enumeration of {walks} index walks exceeds the {ENUMERATION_BUDGET} budget; "
             "sample instead with the hollow command or monte_carlo_hollow_moment"

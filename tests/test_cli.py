@@ -286,6 +286,11 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_oracle_odd_order_past_enumeration_budget_is_zero(tmp_path, capsys):
+    assert _run_cli(["oracle", "--k", "2", "--m", "41", "--out", tmp_path / "x"]) == 0
+    assert "(exact 0)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "config, argv, env, message",
     [

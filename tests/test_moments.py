@@ -95,8 +95,14 @@ def test_oracle_odd_moments_vanish():
         for m in range(1, 10, 2):
             assert hollow_moment_oracle(k, m).exact == 0
             assert hollow_moment_oracle(k, m, "complex").exact == 0
-            if m < 9:  # (2k)^9 quaternion walks exceed the budget from k = 4
-                assert hollow_moment_oracle(k, m, "quaternion").exact == 0
+            assert hollow_moment_oracle(k, m, "quaternion").exact == 0
+
+
+def test_oracle_odd_orders_past_the_budget_are_zero():
+    # (2k)^m walks far past the budget, but an odd order is 0 without a walk
+    for k, m, algebra in ((4, 9, "quaternion"), (12, 9, "real"), (2, 41, "real"), (9, 99, "complex")):
+        result = hollow_moment_oracle(k, m, algebra)
+        assert result.exact == 0 and result.value == 0.0, (k, m, algebra)
 
 
 def test_oracle_gaussian_values_at_k2():
@@ -137,7 +143,7 @@ def test_oracle_three_by_three_fourth_moment():
 
 def test_oracle_budget_guard():
     with pytest.raises(EnumerationBudgetError):
-        hollow_moment_oracle(12, 9)
+        hollow_moment_oracle(12, 10)
     with pytest.raises(EnumerationBudgetError, match="hollow command or monte_carlo_hollow_moment"):
         hollow_moment_oracle(2, 14, "quaternion")  # 4^14 walks on the 4 x 4 embedding
     assert hollow_moment_oracle(2, 12, "quaternion").exact == Fraction(5040, 64)
