@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DivisionAlgebra, HermitianMatrix
-from .ensembles import CheckerboardParams, HollowParams, sample_hollow_batch
+from .ensembles import CheckerboardParams, HollowParams
 from .exceptions import AlgebraMismatchError, DimensionError, ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from .moments import measure_moments
 from .spectra import (
     AtomicMeasure,
     BlipConfig,
     Spectrum,
-    batch_eigenvalues,
     blip_measure,
     bulk_measure,
     eigensolve,
+    hollow_eigenvalues,
     trial_spectra,
 )
 
@@ -280,7 +280,7 @@ def compare_blip_to_hollow(
         raise ParameterError("blip sample has zero mass")
     blip = AtomicMeasure(blip_sample.locations, blip_sample.weights / mass)
 
-    eigs = batch_eigenvalues(sample_hollow_batch(HollowParams(k, algebra, seed), hollow_trials), algebra)
+    eigs = hollow_eigenvalues(HollowParams(k, algebra, seed), hollow_trials)
     hollow = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
 
     blip_m = measure_moments(blip, max_m)

@@ -24,9 +24,10 @@ from . import __version__
 from ._parallel import parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
-from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_batch
+from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
 from .moments import (
+    _check_max_m,
     alternating_binomial_sum,
     average_trial_moments,
     hollow_moment_oracle,
@@ -37,7 +38,6 @@ from .spectra import (
     AtomicMeasure,
     BlipConfig,
     average_measures,
-    batch_eigenvalues,
     blip_measure,
     bulk_measure,
     default_average_count,
@@ -45,6 +45,7 @@ from .spectra import (
     default_blip_range,
     eigensolve,
     histogram,
+    hollow_eigenvalues,
     trial_spectra,
 )
 
@@ -157,15 +158,19 @@ def _cells(column) -> Iterator[str]:
     return map(_cell, column)
 
 
-def _csv_text(header, columns) -> str:
-    """The CSV text of equal-length columns, formatted a block of rows at a time on the trial pool."""
+def _csv_blocks(header, columns) -> list:
+    """The CSV text of equal-length columns as a list of text blocks, each ending in a newline.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time on the trial pool; a column is
+    anything that slices into arrays or lists, such as `_TrialColumn`.
+    """
 
     def block(start: int) -> str:
         cells = [_cells(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
-        return "\n".join(map(",".join, zip(*cells, strict=True)))
+        return "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
 
-    blocks = parallel_map(block, range(0, len(columns[0]), CSV_BLOCK_ROWS))
-    return "\n".join([CSV_VERSION_LINE, ",".join(header), *blocks]) + "\n"
+    head = f"{CSV_VERSION_LINE}\n{','.join(header)}\n"
+    return [head, *parallel_map(block, range(0, len(columns[0]), CSV_BLOCK_ROWS))]
 
 
 def _json_text(payload: dict) -> str:
@@ -188,25 +193,25 @@ class _Artifacts:
     """Collects outputs in memory; nothing touches disk until write()."""
 
     def __init__(self):
-        self.files: list = []  # (filename, text)
+        self.files: list = []  # (filename, list of text blocks)
 
     def table(self, name: str, header, columns, fmt: str):
         """A table of equal-length columns, each a 1-d numpy array or a short list."""
         if fmt == "json":
             values = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
             rows = [list(row) for row in zip(*values, strict=True)]
-            self.files.append((f"{name}.json", _json_text({"columns": list(header), "rows": rows})))
+            self.files.append((f"{name}.json", [_json_text({"columns": list(header), "rows": rows})]))
         else:
-            self.files.append((f"{name}.csv", _csv_text(header, columns)))
+            self.files.append((f"{name}.csv", _csv_blocks(header, columns)))
 
     def csv(self, name: str, header, columns):
         self.table(name, header, columns, "csv")
 
     def json(self, name: str, payload: dict):
-        self.files.append((f"{name}.json", _json_text(payload)))
+        self.files.append((f"{name}.json", [_json_text(payload)]))
 
     def text(self, filename: str, content: str):
-        self.files.append((filename, content))
+        self.files.append((filename, [content]))
 
     def write(self, out_dir: Path, manifest: dict) -> list:
         """Write every file plus manifest.json, first deleting the outputs a previous
@@ -216,9 +221,10 @@ class _Artifacts:
         manifest["outputs"] = sorted(name for name, _ in self.files)
         for stale in _previous_outputs(out_dir) - set(manifest["outputs"]):
             (out_dir / stale).unlink()
-        self.files.append(("manifest.json", _json_text(manifest)))
-        for name, content in self.files:
-            (out_dir / name).write_text(content)
+        self.json("manifest", manifest)
+        for name, blocks in self.files:
+            with (out_dir / name).open("w") as handle:
+                handle.writelines(blocks)
         return [name for name, _ in self.files]
 
 
@@ -248,11 +254,24 @@ def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, arti
 # ---------------------------------------------------------------------------
 
 
+class _TrialColumn:
+    """The trial (row // n) or index (row % n) column of a table with n rows per trial, made a slice at a time."""
+
+    def __init__(self, rows: int, n: int, index: bool):
+        self.rows, self.n, self.index = rows, n, index
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        numbers = np.arange(*rows.indices(self.rows))
+        return numbers % self.n if self.index else numbers // self.n
+
+
 def _eigenvalue_table(artifacts: _Artifacts, per_trial, n: int) -> None:
     """eigenvalues.csv: (trial, index, eigenvalue) columns from one length-n eigenvalue array per trial."""
-    values = np.asarray(per_trial, dtype=float).reshape(-1, n)
-    trials = len(values)
-    columns = (np.repeat(np.arange(trials), n), np.tile(np.arange(n), trials), values.ravel())
+    values = np.asarray(per_trial, dtype=float).reshape(-1)
+    columns = (_TrialColumn(values.size, n, False), _TrialColumn(values.size, n, True), values)
     artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), columns)
 
 
@@ -306,13 +325,17 @@ def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 
 def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    _check_max_m(config.max_m)
     algebra = DivisionAlgebra.parse(config.algebra)
-    params = HollowParams(k=config.k, algebra=algebra, seed=config.seed)
-    eigs = batch_eigenvalues(sample_hollow_batch(params, config.trials), algebra)
-    per_trial = eigs[:, None, :] ** np.arange(config.max_m + 1)[None, :, None]
-    traces = per_trial.sum(axis=2) / config.k  # (trials, max_m + 1)
-    values = traces.mean(axis=0)
-    stderr = traces.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else None
+    eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=algebra, seed=config.seed), config.trials)
+    powers = np.arange(config.max_m + 1)[None, :, None]
+
+    def traces(start: int) -> np.ndarray:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
+        return (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / config.k
+
+    per_trial = np.concatenate(parallel_map(traces, range(0, config.trials, BATCH_CHUNK)))
+    values = per_trial.mean(axis=0)
+    stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else None
     measure = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
     _eigenvalue_table(artifacts, eigs, config.k)
     artifacts.table("moments", _MOMENT_HEADER, _moment_columns(values, stderr), config.fmt)
@@ -339,6 +362,8 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 
 def _cmd_verify_split(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    if config.trials < 1:  # a pass over no trials checks nothing
+        raise ParameterError(f"trials must be positive, got {config.trials}")
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     per_trial = []
     all_ok = True

@@ -36,8 +36,9 @@ _DOMAIN_HOLLOW_BATCH = 3
 
 _MAX_SEED = 2**64
 _MAX_TRIAL = 2**48
-# Matrices of a batch assembled at a time: bounds the triangle copies alive at once.
-_ASSEMBLY_BLOCK = 4096
+# Matrices of a batch drawn, assembled and solved at a time: bounds the draws and
+# triangle copies alive at once, and is one trial-pool item of a streamed batch.
+BATCH_CHUNK = 4096
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -110,8 +111,8 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
 
     ``comps`` has shape (components, [batch,] N, N); only the strict upper
     triangle of each draw is used, the lower triangle is its conjugate.  A
-    batch is assembled _ASSEMBLY_BLOCK matrices at a time, so the triangle
-    copies stay small; real sums go into the spent draws themselves.
+    batch is assembled BATCH_CHUNK matrices at a time, so the triangle copies
+    stay small; real sums go into the spent draws themselves.
     """
     divisor = algebra.entry_divisor
     if algebra is DivisionAlgebra.REAL:
@@ -123,7 +124,7 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
     if comps.ndim == 3:  # a single matrix is one block
         blocks = [...]
     else:
-        blocks = [slice(s, s + _ASSEMBLY_BLOCK) for s in range(0, comps.shape[1], _ASSEMBLY_BLOCK)]
+        blocks = [slice(s, s + BATCH_CHUNK) for s in range(0, comps.shape[1], BATCH_CHUNK)]
     for block in blocks:
         draws, out = comps[:, block], grid[block]
         if algebra is DivisionAlgebra.REAL:
@@ -164,6 +165,41 @@ def sample_hollow_batch(params: HollowParams, trials: int, batch_index: int = 0)
         raise ParameterError(f"trials must be positive, got {trials}")
     rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, batch_index)
     comps = rng.standard_normal((params.algebra.components, trials, params.k, params.k))
+    return _hermitian_from_upper(comps, params.algebra)
+
+
+def hollow_chunks(params: HollowParams, trials: int) -> list:
+    """`sample_hollow_batch(params, trials)` as chunks of BATCH_CHUNK matrices, the last ragged.
+
+    Each chunk is a pair (size, states), with one Philox state per component.
+    The batch's stream holds every draw of component 0, then of component 1,
+    and so on.  One pass over it records the state at the start of every
+    (component, chunk) and keeps one chunk of draws in memory at a time;
+    `sample_hollow_chunk` draws the chunk's normals again from those states.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, 0)
+    sizes = [min(BATCH_CHUNK, trials - start) for start in range(0, trials, BATCH_CHUNK)]
+    states = [[] for _ in sizes]
+    spent = np.empty((sizes[0], params.k, params.k))
+    components = params.algebra.components
+    for c in range(components):
+        for j, size in enumerate(sizes):
+            states[j].append(rng.bit_generator.state)
+            if (c, j) != (components - 1, len(sizes) - 1):  # the final draw leads to no state that is kept
+                rng.standard_normal(out=spent[:size])
+    return list(zip(sizes, states))
+
+
+def sample_hollow_chunk(params: HollowParams, chunk: tuple) -> np.ndarray:
+    """The matrices of one chunk from `hollow_chunks`, equal to its slice of the whole batch."""
+    size, states = chunk
+    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, 0)  # each saved state carries its own key and counter
+    comps = np.empty((params.algebra.components, size, params.k, params.k))
+    for draws, state in zip(comps, states):
+        rng.bit_generator.state = state
+        rng.standard_normal(out=draws)
     return _hermitian_from_upper(comps, params.algebra)
 
 

@@ -1,8 +1,9 @@
 """Eigensolution and the empirical spectral measures.
 
-Every sampled spectrum comes from `trial_spectra` (trial t of an ensemble,
-drawn and solved on the trial pool), and every eigenvalue from one solver
-core shared by `eigensolve` and `batch_eigenvalues`.  Three measures are
+Every sampled spectrum comes from `trial_spectra` (trial t of a checkerboard
+ensemble) or `hollow_eigenvalues` (a hollow batch, a chunk at a time), both
+drawn and solved on the trial pool, and every eigenvalue from one solver core
+shared by the two and by `eigensolve`.  Three measures are
 built from a spectrum: the bulk measure (eigenvalues scaled by 1/sqrt(N),
 uniform weights), the blip measure (eigenvalues shifted by N/k and weighted
 by a steep polynomial that is ~1 near the k outlier eigenvalues and ~0 on
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
-from .ensembles import CheckerboardParams, sample_checkerboard
+from .ensembles import CheckerboardParams, HollowParams, hollow_chunks, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
     "default_blip_half_degree",
     "default_average_count",
     "eigensolve",
-    "batch_eigenvalues",
+    "hollow_eigenvalues",
     "trial_spectra",
     "bulk_measure",
     "blip_weight",
@@ -41,7 +42,6 @@ __all__ = [
 
 _KRAMERS_RTOL = 1e-8
 _TRACE_RTOL = 1e-8
-_BATCH_CHUNK = 4096  # matrices per pool task in batch_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,18 @@ def eigensolve(matrix: HermitianMatrix) -> Spectrum:
     return Spectrum(vals, matrix.dim)
 
 
-def batch_eigenvalues(batch: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
-    """Eigenvalues of a stack of self-adjoint grids, shape (trials, k).
+def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
+    """Eigenvalues of `sample_hollow_batch(params, trials)`, shape (trials, k).
 
-    Chunks of the stack are solved on the trial pool. Every matrix is solved
-    on its own, so the result does not depend on the split or the workers.
+    The batch is drawn, assembled and solved one chunk at a time on the trial
+    pool, so it never exists whole. Every matrix is solved on its own, so the
+    result does not depend on the split or the workers.
     """
-    algebra = DivisionAlgebra.parse(algebra)
-    parts = np.array_split(batch, max(1, math.ceil(len(batch) / _BATCH_CHUNK)))
-    return np.concatenate(parallel_map(lambda part: _eigenvalues(part, algebra), parts))
+
+    def solve(chunk) -> np.ndarray:
+        return _eigenvalues(sample_hollow_chunk(params, chunk), params.algebra)
+
+    return np.concatenate(parallel_map(solve, hollow_chunks(params, trials)))
 
 
 def trial_spectra(params: CheckerboardParams, trials: range) -> list:

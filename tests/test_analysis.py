@@ -154,10 +154,10 @@ def test_compare_rejects_empty():
 
 def test_compare_hollow_sample_against_itself_distribution():
     # two independent hollow samples should be statistically indistinguishable
-    from checkerboard_rmt.ensembles import HollowParams, sample_hollow_batch
-    from checkerboard_rmt.spectra import batch_eigenvalues
+    from checkerboard_rmt.ensembles import HollowParams
+    from checkerboard_rmt.spectra import hollow_eigenvalues
 
-    eigs = batch_eigenvalues(sample_hollow_batch(HollowParams(2, seed=5), 4000), DivisionAlgebra.REAL)
+    eigs = hollow_eigenvalues(HollowParams(2, seed=5), 4000)
     sample = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
     report = compare_blip_to_hollow(sample, 2, "real", hollow_trials=4000, seed=6)
     assert report.moment_distances[1] < 0.1

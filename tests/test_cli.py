@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from checkerboard_rmt.cli import CSV_BLOCK_ROWS, CSV_VERSION_LINE, _csv_text, main, resolve_config, run
+from checkerboard_rmt.cli import (
+    CSV_BLOCK_ROWS,
+    CSV_VERSION_LINE,
+    _Artifacts,
+    _csv_blocks,
+    _eigenvalue_table,
+    main,
+    resolve_config,
+    run,
+)
 from checkerboard_rmt.ensembles import CheckerboardParams, sample_checkerboard
 from checkerboard_rmt.spectra import eigensolve
 
@@ -89,6 +98,14 @@ def _per_cell_csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _assert_same_text(got, expected):
+    """Equal texts, compared line by line: pytest's diff of two long unequal texts takes minutes."""
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    for number, (line, reference) in enumerate(zip(got_lines, expected_lines)):
+        assert line == reference, f"line {number}"
+    assert len(got_lines) == len(expected_lines)
+
+
 @pytest.mark.parametrize("rows", [0, 1, 17, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
 def test_csv_writer_matches_the_per_cell_rule(rows):
     floats = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1 / 3, -2.5e300, 123456789.125]
@@ -103,8 +120,19 @@ def test_csv_writer_matches_the_per_cell_rule(rows):
         [other[i % len(other)] for i in range(rows)],
     )
     header = ("f64", "f32", "i64", "u64", "other")
-    expected = _per_cell_csv_text(header, zip(*columns))
-    assert _csv_text(header, columns) == expected
+    _assert_same_text("".join(_csv_blocks(header, columns)), _per_cell_csv_text(header, zip(*columns)))
+
+
+@pytest.mark.parametrize("n, trials", [(16, 4097), (3, 21846)], ids=["n16", "trial-across-blocks"])
+def test_eigenvalue_table_blocks_match_the_per_cell_rule(n, trials):
+    # 4097 trials of 16 end one trial into a second block; with n = 3 trial 21845 spans the boundary
+    values = np.random.default_rng(n).standard_normal((trials, n))
+    artifacts = _Artifacts()
+    _eigenvalue_table(artifacts, values, n)
+    [(name, blocks)] = artifacts.files
+    assert name == "eigenvalues.csv" and len(blocks) == 3  # the head and two blocks of rows
+    rows = ((t, i, values[t, i]) for t in range(trials) for i in range(n))
+    _assert_same_text("".join(blocks), _per_cell_csv_text(("trial", "index", "eigenvalue"), rows))
 
 
 def test_moment_table_json_format(tmp_path):
@@ -284,6 +312,22 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hollow", "--k", "2", "--max-m", "40"], "error: moment order cap is 32, got 40"),
+        (["verify-split", "--trials", "0"], "error: trials must be positive, got 0"),
+    ],
+    ids=["hollow-max-m", "verify-split-no-trials"],
+)
+def test_refused_runs_end_in_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "x"
+    assert _run_cli([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_oracle_odd_order_past_enumeration_budget_is_zero(tmp_path, capsys):

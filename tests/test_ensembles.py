@@ -8,11 +8,14 @@ import pytest
 
 from checkerboard_rmt.algebra import DivisionAlgebra, conjugate_transpose
 from checkerboard_rmt.ensembles import (
+    BATCH_CHUNK,
     CheckerboardParams,
     HollowParams,
     congruence_indicator_matrix,
+    hollow_chunks,
     sample_checkerboard,
     sample_hollow_batch,
+    sample_hollow_chunk,
 )
 from checkerboard_rmt.exceptions import ParameterError
 
@@ -180,3 +183,23 @@ def test_hollow_batch_assembles_without_a_full_copy():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * batch.nbytes
+
+
+@pytest.mark.parametrize("trials, sizes", [(9000, [BATCH_CHUNK, BATCH_CHUNK, 808]), (1000, [1000])],
+                         ids=["ragged", "one-chunk"])
+@pytest.mark.parametrize("algebra", ["real", "complex", "quaternion"])
+def test_streamed_chunks_equal_the_whole_batch(algebra, trials, sizes):
+    # each component's draws are one run of the stream: chunk j of component c starts mid-stream
+    params = HollowParams(k=3, algebra=algebra, seed=7)
+    chunks = hollow_chunks(params, trials)
+    assert [size for size, _ in chunks] == sizes
+    assert all(len(states) == params.algebra.components for _, states in chunks)
+    streamed = np.concatenate([sample_hollow_chunk(params, chunk) for chunk in chunks])
+    whole = sample_hollow_batch(params, trials)
+    assert streamed.dtype == whole.dtype and streamed.shape == whole.shape
+    assert streamed.tobytes() == whole.tobytes()
+
+
+def test_hollow_chunks_need_a_trial():
+    with pytest.raises(ParameterError, match="trials must be positive"):
+        hollow_chunks(HollowParams(3), 0)

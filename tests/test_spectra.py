@@ -1,6 +1,7 @@
 """Eigensolution, the bulk and blip measures, and their averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from checkerboard_rmt.spectra import (
     BlipConfig,
     Spectrum,
     average_measures,
-    batch_eigenvalues,
+    _eigenvalues,
     blip_measure,
     blip_weight,
     bulk_measure,
@@ -27,6 +28,7 @@ from checkerboard_rmt.spectra import (
     default_blip_half_degree,
     eigensolve,
     histogram,
+    hollow_eigenvalues,
     trial_spectra,
 )
 
@@ -77,10 +79,24 @@ def test_quaternion_path_matches_embedding():
 
 
 @pytest.mark.parametrize("algebra", ["real", "complex"])
-def test_batch_eigenvalues_chunks_match_one_solve(algebra):
+def test_hollow_eigenvalues_chunks_match_one_solve(algebra):
     # 9000 matrices: three chunks on the trial pool, in order, each matrix solved on its own
-    batch = sample_hollow_batch(HollowParams(k=3, algebra=algebra, seed=4), 9000)
-    assert np.array_equal(batch_eigenvalues(batch, algebra), np.linalg.eigvalsh(batch))
+    params = HollowParams(k=3, algebra=algebra, seed=4)
+    assert np.array_equal(hollow_eigenvalues(params, 9000), np.linalg.eigvalsh(sample_hollow_batch(params, 9000)))
+
+
+def test_hollow_eigenvalues_hold_one_chunk_of_draws(monkeypatch):
+    # the whole draw of 32768 matrices of 16 x 16 is 67 MB; the stream keeps a chunk of it at a time
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
+    full_draw = 32768 * 16 * 16 * 8
+    tracemalloc.start()
+    try:
+        eigs = hollow_eigenvalues(HollowParams(16), 32768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eigs.shape == (32768, 16)
+    assert peak < 0.5 * full_draw
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -101,11 +117,10 @@ def test_failed_eigendecomposition_is_an_eigensolve_error(algebra, monkeypatch):
     def fail(grid):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    batch = sample_hollow_batch(HollowParams(k=3, algebra=algebra, seed=4), 10)
     matrix = sample_checkerboard(CheckerboardParams(dim=6, k=2, algebra=algebra), 0)
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(EigensolveError, match="did not converge"):
-        batch_eigenvalues(batch, algebra)
+        hollow_eigenvalues(HollowParams(k=3, algebra=algebra, seed=4), 10)
     with pytest.raises(EigensolveError, match="did not converge"):
         eigensolve(matrix)
 
@@ -199,9 +214,9 @@ def test_non_finite_spectrum_is_rejected(algebra):
     matrix = sample_checkerboard(CheckerboardParams(dim=2, k=1, w=1e308, algebra=algebra), 0)
     with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracyError):
         eigensolve(matrix)
-    if algebra == "quaternion":  # the Kramers check alone: batch_eigenvalues has no trace check
+    if algebra == "quaternion":  # the Kramers check alone: the solver core has no trace check
         with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracyError):
-            batch_eigenvalues(matrix.data[None], algebra)
+            _eigenvalues(matrix.data[None], DivisionAlgebra.QUATERNION)
 
 
 def test_blip_config_dimension_check():
