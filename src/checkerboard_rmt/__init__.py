@@ -12,7 +12,7 @@ limits against exact combinatorial oracles.
 
 __version__ = "0.1.0"
 
-from .algebra import DivisionAlgebra, HermitianMatrix, complex_embed, conjugate_transpose
+from .algebra import DivisionAlgebra, HermitianMatrix, conjugate_transpose
 from .ensembles import (
     CheckerboardParams,
     HollowParams,
@@ -30,6 +30,7 @@ from .spectra import (
     bulk_measure,
     eigensolve,
     histogram,
+    hollow_eigenvalues,
     trial_spectra,
 )
 from .moments import (
@@ -39,8 +40,8 @@ from .moments import (
     average_trial_moments,
     blip_limit_moment,
     hollow_moment_oracle,
+    hollow_moments,
     measure_moments,
-    monte_carlo_hollow_moment,
     semicircle_moment,
     trace_expansion_blip_moment,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "__version__",
     "DivisionAlgebra",
     "HermitianMatrix",
-    "complex_embed",
     "conjugate_transpose",
     "CheckerboardParams",
     "HollowParams",
@@ -75,6 +75,7 @@ __all__ = [
     "bulk_measure",
     "eigensolve",
     "histogram",
+    "hollow_eigenvalues",
     "trial_spectra",
     "MomentVector",
     "OracleResult",
@@ -82,8 +83,8 @@ __all__ = [
     "average_trial_moments",
     "blip_limit_moment",
     "hollow_moment_oracle",
+    "hollow_moments",
     "measure_moments",
-    "monte_carlo_hollow_moment",
     "semicircle_moment",
     "trace_expansion_blip_moment",
     "ComparisonReport",

@@ -18,10 +18,7 @@ from .exceptions import AlgebraMismatchError, DimensionError, HermitianInvariant
 __all__ = [
     "DivisionAlgebra",
     "HermitianMatrix",
-    "quat_multiply",
-    "quat_conjugate",
     "conjugate_transpose",
-    "complex_embed",
 ]
 
 
@@ -50,30 +47,6 @@ class DivisionAlgebra(Enum):
             return cls(str(name).strip().lower())
         except ValueError:
             raise AlgebraMismatchError(f"unknown division algebra {name!r}; expected real, complex, or quaternion") from None
-
-
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product of quaternion arrays with trailing component axis."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ar, ai, aj, ak = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    br, bi, bj, bk = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            ar * br - ai * bi - aj * bj - ak * bk,
-            ar * bi + ai * br + aj * bk - ak * bj,
-            ar * bj - ai * bk + aj * br + ak * bi,
-            ar * bk + ai * bj - aj * bi + ak * br,
-        ],
-        axis=-1,
-    )
-
-
-def quat_conjugate(a: np.ndarray) -> np.ndarray:
-    """Quaternion conjugate: negate the three imaginary components."""
-    out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] = -out[..., 1:]
-    return out
 
 
 def infer_algebra(data: np.ndarray) -> DivisionAlgebra:
@@ -168,9 +141,3 @@ def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
     out[..., 1::2, 1::2] = r - 1j * x
     return out
 
-
-def complex_embed(matrix: HermitianMatrix) -> HermitianMatrix:
-    """Embed a quaternion self-adjoint matrix as a 2N x 2N complex Hermitian one."""
-    if matrix.algebra is not DivisionAlgebra.QUATERNION:
-        raise AlgebraMismatchError("complex_embed expects a quaternion matrix")
-    return HermitianMatrix(embed_quaternion_blocks(matrix.data), DivisionAlgebra.COMPLEX)

@@ -273,8 +273,6 @@ def compare_blip_to_hollow(
     algebra = DivisionAlgebra.parse(algebra)
     if blip_sample.locations.size == 0:
         raise ParameterError("empty blip sample")
-    if hollow_trials < 1:
-        raise ParameterError(f"need hollow_trials >= 1, got {hollow_trials}")
     mass = blip_sample.total_mass
     if mass <= 0:
         raise ParameterError("blip sample has zero mass")

@@ -24,13 +24,14 @@ from . import __version__
 from ._parallel import parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
-from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, sample_checkerboard
+from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
 from .moments import (
     _check_max_m,
     alternating_binomial_sum,
     average_trial_moments,
     hollow_moment_oracle,
+    hollow_moments,
     measure_moments,
     trace_expansion_blip_moment,
 )
@@ -106,6 +107,8 @@ def _check_config(config) -> None:
     for name in ("trials", "max_m", "bins"):
         if getattr(config, name) < 0:
             raise ParameterError(f"{name} must be nonnegative")
+    if config.g is not None and config.g < 1:  # a blip average over no matrices
+        raise ParameterError(f"g must be positive, got {config.g}")
 
 
 ExperimentConfig = make_dataclass(
@@ -325,20 +328,13 @@ def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 
 def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    _check_max_m(config.max_m)
+    _check_max_m(config.max_m)  # before anything is drawn
     algebra = DivisionAlgebra.parse(config.algebra)
     eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=algebra, seed=config.seed), config.trials)
-    powers = np.arange(config.max_m + 1)[None, :, None]
-
-    def traces(start: int) -> np.ndarray:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
-        return (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / config.k
-
-    per_trial = np.concatenate(parallel_map(traces, range(0, config.trials, BATCH_CHUNK)))
-    values = per_trial.mean(axis=0)
-    stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else None
+    moments = hollow_moments(eigs, config.max_m)
     measure = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
     _eigenvalue_table(artifacts, eigs, config.k)
-    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(values, stderr), config.fmt)
+    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))
     return {"ensemble": f"hollow-{algebra.value}"}, 0
 
@@ -362,8 +358,6 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 
 def _cmd_verify_split(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    if config.trials < 1:  # a pass over no trials checks nothing
-        raise ParameterError(f"trials must be positive, got {config.trials}")
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     per_trial = []
     all_ok = True

@@ -154,16 +154,15 @@ def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> Hermiti
     return HermitianMatrix(data, params.algebra)
 
 
-def sample_hollow_batch(params: HollowParams, trials: int, batch_index: int = 0) -> np.ndarray:
+def sample_hollow_batch(params: HollowParams, trials: int) -> np.ndarray:
     """Draw a stack of hollow matrices (zero diagonal, unit-variance entries)
     as one array of shape (trials, k, k[, 4]).
 
-    The whole batch comes from a single Philox stream keyed on
-    (seed, batch_index).
+    The whole batch comes from a single Philox stream keyed on (seed, 0).
     """
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, batch_index)
+    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, 0)
     comps = rng.standard_normal((params.algebra.components, trials, params.k, params.k))
     return _hermitian_from_upper(comps, params.algebra)
 

@@ -7,7 +7,9 @@ one walker over the closed index walks of tr B^m, labelled in order of first
 visit; quaternion walks run over the 2k x 2k complex embedding.  A per-algebra
 rule scores each walk by its Gaussian pairing count.  The per-matrix binomial
 trace expansion takes its traces of matrix powers in exact integer arithmetic,
-after scaling the dyadic float entries by a common power of two.
+after scaling the dyadic float entries by a common power of two.  The
+sampling counterpart of the oracle, `hollow_moments`, averages the same
+traces over sampled hollow spectra.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
-from .ensembles import HollowParams, sample_hollow_batch
+from .ensembles import BATCH_CHUNK
 from .exceptions import EnumerationBudgetError, ParameterError
 from .spectra import AtomicMeasure, BlipConfig
 
@@ -31,27 +34,25 @@ __all__ = [
     "OracleResult",
     "measure_moments",
     "average_trial_moments",
+    "hollow_moments",
     "catalan",
     "semicircle_moment",
     "alternating_binomial_sum",
     "hollow_moment_oracle",
-    "monte_carlo_hollow_moment",
     "blip_limit_moment",
     "trace_expansion_blip_moment",
 ]
 
 MAX_MOMENT = 32
 ENUMERATION_BUDGET = 10**8
-_MC_CHUNK = 32768
 
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Moments m = 0..M of a measure about a fixed center."""
+    """Moments m = 0..M, with standard errors across trials where there are several."""
 
     values: np.ndarray
     standard_errors: "np.ndarray | None" = None
-    center: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -73,7 +74,7 @@ def measure_moments(measure: AtomicMeasure, max_m: int, center: "float | None" =
     c = 0.0 if center is None else float(center)
     shifted = measure.locations - c
     powers = shifted[None, :] ** np.arange(max_m + 1)[:, None]
-    return MomentVector(powers @ measure.weights, None, center=c)
+    return MomentVector(powers @ measure.weights)
 
 
 def average_trial_moments(measures, max_m: int, center: "float | None" = None) -> MomentVector:
@@ -83,7 +84,29 @@ def average_trial_moments(measures, max_m: int, center: "float | None" = None) -
         raise ParameterError("need at least one measure")
     mean = table.mean(axis=0)
     stderr = table.std(axis=0, ddof=1) / math.sqrt(table.shape[0]) if table.shape[0] > 1 else None
-    return MomentVector(mean, stderr, center=0.0 if center is None else float(center))
+    return MomentVector(mean, stderr)
+
+
+def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
+    """(1/k) tr B^m for m = 0..max_m, averaged over the sampled spectra of a hollow batch.
+
+    `eigs` has one row of k eigenvalues per trial, as `hollow_eigenvalues`
+    returns them; the traces are taken a chunk of trials at a time on the
+    trial pool.  Standard errors are across trials, None for one trial.
+    """
+    _check_max_m(max_m)
+    trials, k = eigs.shape
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    powers = np.arange(max_m + 1)[None, :, None]
+
+    def traces(start: int) -> np.ndarray:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
+        return (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / k
+
+    per_trial = np.concatenate(parallel_map(traces, range(0, trials, BATCH_CHUNK)))
+    values = per_trial.mean(axis=0)
+    stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else None
+    return MomentVector(values, stderr)
 
 
 def catalan(n: int) -> int:
@@ -208,39 +231,6 @@ class OracleResult:
     exact: Fraction
 
 
-def monte_carlo_hollow_moment(
-    k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL, trials: int = 100_000, seed: int = 0
-) -> tuple:
-    """Monte Carlo estimate of (1/k) E tr B^m with its standard error."""
-    algebra = DivisionAlgebra.parse(algebra)
-    if m < 0:
-        raise ParameterError(f"need m >= 0, got {m}")
-    if trials < 2:
-        raise ParameterError(f"need at least 2 trials, got {trials}")
-    if m == 0:
-        return 1.0, 0.0
-    params = HollowParams(k, algebra, seed)
-    samples = np.empty(trials)
-    filled = 0
-    chunk_index = 0
-    while filled < trials:
-        take = min(_MC_CHUNK, trials - filled)
-        batch = sample_hollow_batch(params, take, batch_index=chunk_index)
-        if algebra is DivisionAlgebra.QUATERNION:
-            grid = embed_quaternion_blocks(batch)
-            denominator = 2 * k  # the embedding doubles every eigenvalue
-        else:
-            grid = batch
-            denominator = k
-        power = grid
-        for _ in range(m - 1):
-            power = power @ grid
-        samples[filled : filled + take] = np.einsum("tii->t", power).real / denominator
-        filled += take
-        chunk_index += 1
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(trials))
-
-
 def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> OracleResult:
     """(1/k) E tr B^m by exact Wick enumeration, for real, complex and quaternion entries."""
     algebra = DivisionAlgebra.parse(algebra)
@@ -250,7 +240,7 @@ def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = Divi
     if walks > ENUMERATION_BUDGET and m % 2 == 0:  # odd orders are exactly 0 without a walk
         raise EnumerationBudgetError(
             f"enumeration of {walks} index walks exceeds the {ENUMERATION_BUDGET} budget; "
-            "sample instead with the hollow command or monte_carlo_hollow_moment"
+            "sample instead with the hollow command or hollow_moments"
         )
     exact = _exact_hollow_trace_moment(k, m, algebra) / k
     return OracleResult(k, m, algebra, float(exact), exact)

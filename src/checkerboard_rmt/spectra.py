@@ -171,6 +171,8 @@ def trial_spectra(params: CheckerboardParams, trials: range) -> list:
     Trial t is `eigensolve(sample_checkerboard(params, t))`; its random
     stream depends only on t, so the result does not depend on the workers.
     """
+    if len(trials) < 1:  # a run over no trials writes or checks nothing
+        raise ParameterError(f"trials must be positive, got {len(trials)}")
     return parallel_map(lambda t: eigensolve(sample_checkerboard(params, t)), trials)
 
 

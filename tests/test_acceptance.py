@@ -15,18 +15,18 @@ import pytest
 
 from checkerboard_rmt.analysis import bulk_divergence_probe, split_regimes, variance_decay_probe
 from checkerboard_rmt.cli import main as cli_main
-from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
+from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.moments import (
     alternating_binomial_sum,
     average_trial_moments,
     blip_limit_moment,
     hollow_moment_oracle,
+    hollow_moments,
     measure_moments,
-    monte_carlo_hollow_moment,
     semicircle_moment,
     trace_expansion_blip_moment,
 )
-from checkerboard_rmt.spectra import BlipConfig, blip_measure, bulk_measure, eigensolve
+from checkerboard_rmt.spectra import BlipConfig, blip_measure, bulk_measure, eigensolve, hollow_eigenvalues
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -88,7 +88,8 @@ def test_criterion_04_oracle_matches_sampling():
     ok = True
     for algebra, pairings in (("real", 10), ("quaternion", 7)):  # the hand-computed pairing counts
         exact = hollow_moment_oracle(3, 4, algebra).exact
-        mean, stderr = monte_carlo_hollow_moment(3, 4, algebra, trials=10_000, seed=404)
+        sampled = hollow_moments(hollow_eigenvalues(HollowParams(3, algebra, 404), 10_000), 4)
+        mean, stderr = sampled[4], sampled.standard_errors[4]
         distance = abs(mean - float(exact))
         ok = ok and exact == pairings and distance <= 4 * stderr
         details.append(f"{algebra} enumeration {exact}, MC {mean:.3f} +/- {stderr:.3f} ({distance / stderr:.2f} SE away)")

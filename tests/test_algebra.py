@@ -1,51 +1,14 @@
-"""Quaternion arithmetic, conjugate transposition, and the complex embedding."""
+"""Conjugate transposition, exact self-adjointness, and the complex embedding of quaternion matrices."""
 
 import numpy as np
 import pytest
 
-from checkerboard_rmt.algebra import (
-    DivisionAlgebra,
-    HermitianMatrix,
-    complex_embed,
-    conjugate_transpose,
-    quat_conjugate,
-    quat_multiply,
-)
-from checkerboard_rmt.exceptions import AlgebraMismatchError, DimensionError, HermitianInvariantError
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, conjugate_transpose, embed_quaternion_blocks
+from checkerboard_rmt.exceptions import DimensionError, HermitianInvariantError
 
 from helpers import random_hermitian
 
-ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
-J = np.array([0.0, 0.0, 1.0, 0.0])
-K = np.array([0.0, 0.0, 0.0, 1.0])
-
-
-def test_quaternion_unit_relations():
-    for unit in (I, J, K):
-        assert np.array_equal(quat_multiply(unit, unit), -ONE)
-    assert np.array_equal(quat_multiply(I, J), K)
-    assert np.array_equal(quat_multiply(J, K), I)
-    assert np.array_equal(quat_multiply(K, I), J)
-    assert np.array_equal(quat_multiply(quat_multiply(I, J), K), -ONE)
-    assert np.array_equal(quat_multiply(J, I), -K)
-
-
-def test_quaternion_multiplication_associative():
-    rng = np.random.default_rng(7)
-    a, b, c = rng.standard_normal((3, 200, 4))
-    lhs = quat_multiply(quat_multiply(a, b), c)
-    rhs = quat_multiply(a, quat_multiply(b, c))
-    assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-
-def test_conjugation_reverses_products():
-    rng = np.random.default_rng(42)
-    a = rng.standard_normal((1000, 4))
-    b = rng.standard_normal((1000, 4))
-    lhs = quat_conjugate(quat_multiply(a, b))
-    rhs = quat_multiply(quat_conjugate(b), quat_conjugate(a))
-    assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_conjugate_transpose_real_symmetric_fixed_point():
@@ -90,10 +53,15 @@ def test_hermitian_rejects_corrupted_entry():
         HermitianMatrix(bad, DivisionAlgebra.QUATERNION)
 
 
+def _embed(matrix: HermitianMatrix) -> HermitianMatrix:
+    """The 2N x 2N complex embedding of a quaternion matrix, checked exactly self-adjoint on construction."""
+    return HermitianMatrix(embed_quaternion_blocks(matrix.data), DivisionAlgebra.COMPLEX)
+
+
 def test_embed_real_scalar_doubles():
     w = 2.5
     m = HermitianMatrix(np.array([[[w, 0.0, 0.0, 0.0]]]), DivisionAlgebra.QUATERNION)
-    emb = complex_embed(m)
+    emb = _embed(m)
     assert emb.dim == 2
     assert np.array_equal(emb.data, np.array([[w, 0], [0, w]], dtype=complex))
     assert np.allclose(np.linalg.eigvalsh(emb.data), [w, w])
@@ -104,14 +72,9 @@ def test_embed_unit_offdiagonal_spectrum():
     q = np.array([0.5, 0.5, 0.5, 0.5])
     data = np.zeros((2, 2, 4))
     data[0, 1] = q
-    data[1, 0] = quat_conjugate(q)
-    emb = complex_embed(HermitianMatrix(data, DivisionAlgebra.QUATERNION))
+    data[1, 0] = [0.5, -0.5, -0.5, -0.5]  # conj(q)
+    emb = _embed(HermitianMatrix(data, DivisionAlgebra.QUATERNION))
     assert np.allclose(np.linalg.eigvalsh(emb.data), [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_embed_requires_quaternion_input():
-    with pytest.raises(AlgebraMismatchError):
-        complex_embed(HermitianMatrix(np.eye(3)))
 
 
 def test_embedding_preserves_selfadjointness():
@@ -120,7 +83,7 @@ def test_embedding_preserves_selfadjointness():
     rng = np.random.default_rng(2024)
     for trial in range(1000):
         dim = 1 + trial % 8
-        emb = complex_embed(random_hermitian(rng, dim, DivisionAlgebra.QUATERNION))
+        emb = _embed(random_hermitian(rng, dim, DivisionAlgebra.QUATERNION))
         assert emb.dim == 2 * dim
 
 
@@ -128,7 +91,7 @@ def test_embedding_doubles_every_eigenvalue():
     rng = np.random.default_rng(99)
     for trial in range(50):
         dim = 1 + trial % 8
-        emb = complex_embed(random_hermitian(rng, dim, DivisionAlgebra.QUATERNION))
+        emb = _embed(random_hermitian(rng, dim, DivisionAlgebra.QUATERNION))
         vals = np.linalg.eigvalsh(emb.data)
         first, second = vals[0::2], vals[1::2]
         scale = np.maximum(1.0, np.abs(first))

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, manifests, determinism, error handling."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -183,6 +184,25 @@ def test_hollow_command(tmp_path):
     assert abs(m2 - 1.0) < 0.15  # second hollow moment tends to k - 1
 
 
+# SHA-256 of hollow --k 3 --trials 9000 --seed 5: three chunks of the stream, their moment traces and CSV text.
+_GOLDEN_HOLLOW_CSV = {
+    "real": ("69d0eebf2dcf896e50fd2c02d875732646c65d39a0e9eb1e32d99ab481717840",
+             "f8dc5be5b8fd8ee523358dd06369acd8ddf3f8429fca75b5ac734469e89f7701"),
+    "complex": ("adadf5caad1e6b99f1173d392a7911f93710167c0ee5068f5fa2c1f9b2356689",
+                "3a0b18660ddf1c4d43bb8d31cf2327f757cbf2c94a7b75dbbea2fc8e479140db"),
+    "quaternion": ("7f3702c7e232daba57f5b3edb5f2556f7bc804fd76ef99bf4fd062b678f60e4f",
+                   "e9666daf20c8e11ee364eed92a4d753b68efeeb6c9c5d23d19bf5a00238d430e"),
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(_GOLDEN_HOLLOW_CSV))
+def test_hollow_csv_bytes_are_pinned(tmp_path, algebra):
+    out = tmp_path / algebra
+    assert _run_cli(["hollow", "--k", "3", "--trials", "9000", "--seed", "5", "--algebra", algebra, "--out", out]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("moments.csv", "eigenvalues.csv"))
+    assert digests == _GOLDEN_HOLLOW_CSV[algebra]
+
+
 def test_oracle_single_order(tmp_path, capsys):
     out = tmp_path / "oracle"
     status = _run_cli(["oracle", "--k", "3", "--m", "4", "--out", out])
@@ -319,8 +339,15 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
     [
         (["hollow", "--k", "2", "--max-m", "40"], "error: moment order cap is 32, got 40"),
         (["verify-split", "--trials", "0"], "error: trials must be positive, got 0"),
+        (["sample", "--trials", "0"], "error: trials must be positive, got 0"),
+        (["bulk", "--trials", "0"], "error: trials must be positive, got 0"),
+        (["blip", "--g", "0"], "error: g must be positive, got 0"),
+        (["blip", "--g", "-1"], "error: g must be positive, got -1"),
+        (["compare", "--g", "0"], "error: g must be positive, got 0"),
+        (["compare", "--N", "60", "--trials", "0"], "error: trials must be positive, got 0"),
     ],
-    ids=["hollow-max-m", "verify-split-no-trials"],
+    ids=["hollow-max-m", "verify-split-no-trials", "sample-no-trials", "bulk-no-trials", "blip-no-g", "blip-negative-g",
+         "compare-no-g", "compare-no-trials"],
 )
 def test_refused_runs_end_in_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "x"

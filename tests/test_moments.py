@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix
-from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
+from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import EnumerationBudgetError, ParameterError
 from checkerboard_rmt.moments import (
     _exact_power_traces,
@@ -16,12 +16,12 @@ from checkerboard_rmt.moments import (
     blip_limit_moment,
     catalan,
     hollow_moment_oracle,
+    hollow_moments,
     measure_moments,
-    monte_carlo_hollow_moment,
     semicircle_moment,
     trace_expansion_blip_moment,
 )
-from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, eigensolve
+from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, eigensolve, hollow_eigenvalues
 
 ALGEBRAS = ("real", "complex", "quaternion")
 
@@ -144,7 +144,7 @@ def test_oracle_three_by_three_fourth_moment():
 def test_oracle_budget_guard():
     with pytest.raises(EnumerationBudgetError):
         hollow_moment_oracle(12, 10)
-    with pytest.raises(EnumerationBudgetError, match="hollow command or monte_carlo_hollow_moment"):
+    with pytest.raises(EnumerationBudgetError, match="hollow command or hollow_moments"):
         hollow_moment_oracle(2, 14, "quaternion")  # 4^14 walks on the 4 x 4 embedding
     assert hollow_moment_oracle(2, 12, "quaternion").exact == Fraction(5040, 64)
 
@@ -158,8 +158,22 @@ def test_oracle_against_monte_carlo():
         for k in (2, 3, 4):
             for m in (2, 4, 6):
                 exact = hollow_moment_oracle(k, m, algebra).value
-                mean, stderr = monte_carlo_hollow_moment(k, m, algebra, trials=10_000, seed=100 * k + m)
+                sampled = hollow_moments(hollow_eigenvalues(HollowParams(k, algebra, 100 * k + m), 10_000), m)
+                mean, stderr = sampled[m], sampled.standard_errors[m]
                 assert abs(mean - exact) <= 4 * stderr, (algebra, k, m, mean, exact, stderr)
+
+
+def test_hollow_moments_average_the_trace_powers():
+    eigs = np.random.default_rng(8).standard_normal((5, 3))
+    mv = hollow_moments(eigs, 4)
+    per_trial = np.array([[np.sum(row**m) / 3 for m in range(5)] for row in eigs])
+    assert np.allclose(mv.values, per_trial.mean(axis=0), rtol=1e-14)
+    assert np.allclose(mv.standard_errors, per_trial.std(axis=0, ddof=1) / math.sqrt(5), rtol=1e-12)
+    assert hollow_moments(eigs[:1], 4).standard_errors is None
+    with pytest.raises(ParameterError, match="trials must be positive, got 0"):
+        hollow_moments(eigs[:0], 4)
+    with pytest.raises(ParameterError, match="moment order cap"):
+        hollow_moments(eigs, 33)
 
 
 def test_gaussian_domination_bound():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, complex_embed
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from checkerboard_rmt.ensembles import (
     CheckerboardParams,
     HollowParams,
@@ -73,7 +73,7 @@ def test_quaternion_path_matches_embedding():
     rng = np.random.default_rng(5)
     m = random_hermitian(rng, 6, DivisionAlgebra.QUATERNION)
     direct = eigensolve(m).eigenvalues
-    doubled = np.linalg.eigvalsh(complex_embed(m).data)
+    doubled = np.linalg.eigvalsh(embed_quaternion_blocks(m.data))
     assert np.allclose(direct, doubled[0::2], rtol=1e-8)
     assert np.allclose(direct, doubled[1::2], rtol=1e-8)
 
