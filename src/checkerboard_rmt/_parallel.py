@@ -20,7 +20,7 @@ import signal
 
 from .exceptions import ParameterError
 
-__all__ = ["worker_count", "parallel_map"]
+__all__ = ["worker_count", "contiguous_blocks", "parallel_map"]
 
 _ENV_VAR = "CHECKERBOARD_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -77,16 +77,22 @@ def _unpickle(pid: int, data: bytes) -> list:
     return value
 
 
+def contiguous_blocks(items) -> list:
+    """The blocks `parallel_map` gives its workers: one contiguous run of `items` per worker, the
+    first ones one item longer when the split is ragged; a single block for one worker or inside a map."""
+    items = list(items)
+    workers = 1 if _mapping else max(1, min(worker_count(), len(items)))
+    size, extra = divmod(len(items), workers)
+    ends = [(b + 1) * size + min(b + 1, extra) for b in range(workers)]
+    return [items[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def parallel_map(fn, items) -> list:
     """Map preserving order; runs a plain loop for one worker and inside another map."""
     global _mapping
-    items = list(items)
-    workers = 1 if _mapping else min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    size, extra = divmod(len(items), workers)
-    ends = [(b + 1) * size + min(b + 1, extra) for b in range(workers)]
-    blocks = [items[start:end] for start, end in zip([0, *ends], ends)]
+    blocks = contiguous_blocks(items)
+    if len(blocks) == 1:
+        return [fn(item) for item in blocks[0]]
     children = []  # (pid, read end of its pipe)
     _mapping = True
     try:

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 import sys
 from dataclasses import make_dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._parallel import parallel_map
+from ._parallel import contiguous_blocks, parallel_map
 from .algebra import DivisionAlgebra
 from .analysis import compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
@@ -52,7 +53,7 @@ from .spectra import (
 
 CSV_VERSION_LINE = "# checkerboard-rmt v1"
 SCHEMA_VERSION = 1
-# Rows formatted per block, one block per pool item: bounds the per-row strings alive at once.
+# Rows formatted and written per block: bounds the per-row strings alive at once.
 CSV_BLOCK_ROWS = 65_536
 
 
@@ -161,19 +162,41 @@ def _cells(column) -> Iterator[str]:
     return map(_cell, column)
 
 
-def _csv_blocks(header, columns) -> list:
-    """The CSV text of equal-length columns as a list of text blocks, each ending in a newline.
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length columns as a CSV file, formatting CSV_BLOCK_ROWS rows at a time.
 
-    Rows are formatted CSV_BLOCK_ROWS at a time on the trial pool; a column is
-    anything that slices into arrays or lists, such as `_TrialColumn`.
+    The blocks are split into `parallel_map`'s contiguous shares, one per
+    worker of the trial pool.  Each worker writes every block as soon as it is
+    formatted: the parent (the first share) straight into the file, each child
+    into a part file beside it, which the parent then appends in order and
+    deletes.  A column is anything that slices into arrays or lists, such as
+    `_TrialColumn`.
     """
 
     def block(start: int) -> str:
         cells = [_cells(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
         return "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
 
-    head = f"{CSV_VERSION_LINE}\n{','.join(header)}\n"
-    return [head, *parallel_map(block, range(0, len(columns[0]), CSV_BLOCK_ROWS))]
+    shares = contiguous_blocks(range(0, len(columns[0]), CSV_BLOCK_ROWS))
+    parts = [path.with_name(f"{path.name}.{index}.part") for index in range(1, len(shares))]
+
+    def write_share(index: int) -> None:
+        if index == 0:
+            handle.writelines(map(block, shares[0]))
+        else:
+            with parts[index - 1].open("w") as part:
+                part.writelines(map(block, shares[index]))
+
+    try:
+        with path.open("w") as handle:
+            handle.write(f"{CSV_VERSION_LINE}\n{','.join(header)}\n")
+            parallel_map(write_share, range(len(shares)))
+            for part in parts:
+                with part.open() as source:
+                    shutil.copyfileobj(source, handle)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def _json_text(payload: dict) -> str:
@@ -193,41 +216,49 @@ def _previous_outputs(out_dir: Path) -> set:
 
 
 class _Artifacts:
-    """Collects outputs in memory; nothing touches disk until write()."""
+    """Collects outputs; nothing touches disk until write(), which formats the CSV tables."""
 
     def __init__(self):
-        self.files: list = []  # (filename, list of text blocks)
+        self.files: list = []  # (filename, text, or a (header, columns) CSV table)
 
     def table(self, name: str, header, columns, fmt: str):
-        """A table of equal-length columns, each a 1-d numpy array or a short list."""
+        """A table of equal-length columns, each a 1-d numpy array, a short list or a `_TrialColumn`."""
         if fmt == "json":
             values = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
             rows = [list(row) for row in zip(*values, strict=True)]
-            self.files.append((f"{name}.json", [_json_text({"columns": list(header), "rows": rows})]))
+            self.files.append((f"{name}.json", _json_text({"columns": list(header), "rows": rows})))
         else:
-            self.files.append((f"{name}.csv", _csv_blocks(header, columns)))
+            self.files.append((f"{name}.csv", (header, columns)))
 
     def csv(self, name: str, header, columns):
         self.table(name, header, columns, "csv")
 
     def json(self, name: str, payload: dict):
-        self.files.append((f"{name}.json", [_json_text(payload)]))
+        self.files.append((f"{name}.json", _json_text(payload)))
 
     def text(self, filename: str, content: str):
-        self.files.append((filename, [content]))
+        self.files.append((filename, content))
 
     def write(self, out_dir: Path, manifest: dict) -> list:
         """Write every file plus manifest.json, first deleting the outputs a previous
-        run's manifest lists that this run does not write (nothing else is touched)."""
+        run's manifest lists that this run does not write (nothing else is touched).
+
+        The previous manifest goes before any file is written and the new one
+        is written last, so a write that fails partway leaves no manifest.
+        """
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = dict(manifest)
         manifest["outputs"] = sorted(name for name, _ in self.files)
-        for stale in _previous_outputs(out_dir) - set(manifest["outputs"]):
-            (out_dir / stale).unlink()
+        stale = _previous_outputs(out_dir) - set(manifest["outputs"])
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+        for name in stale:
+            (out_dir / name).unlink()
         self.json("manifest", manifest)
-        for name, blocks in self.files:
-            with (out_dir / name).open("w") as handle:
-                handle.writelines(blocks)
+        for name, content in self.files:
+            if isinstance(content, str):
+                (out_dir / name).write_text(content)
+            else:
+                _write_csv(out_dir / name, *content)
         return [name for name, _ in self.files]
 
 
@@ -425,6 +456,8 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
 
 
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    if config.trials < 1:  # before the g blip matrices are drawn
+        raise ParameterError(f"trials must be positive, got {config.trials}")
     g, n, _, measures = _blip_trials(config)
     averaged = average_measures(measures)
     centered = AtomicMeasure(averaged.locations - (config.k - 1), averaged.weights)

@@ -38,7 +38,7 @@ _MAX_SEED = 2**64
 _MAX_TRIAL = 2**48
 # Matrices of a batch drawn, assembled and solved at a time: bounds the draws and
 # triangle copies alive at once, and is one trial-pool item of a streamed batch.
-BATCH_CHUNK = 4096
+BATCH_CHUNK = 1024
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:

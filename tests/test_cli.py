@@ -2,22 +2,26 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from checkerboard_rmt import cli
 from checkerboard_rmt.cli import (
     CSV_BLOCK_ROWS,
     CSV_VERSION_LINE,
     _Artifacts,
-    _csv_blocks,
     _eigenvalue_table,
+    _TrialColumn,
+    _write_csv,
     main,
     resolve_config,
     run,
 )
-from checkerboard_rmt.ensembles import CheckerboardParams, sample_checkerboard
-from checkerboard_rmt.spectra import eigensolve
+from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, sample_checkerboard
+from checkerboard_rmt.exceptions import CheckerboardError
+from checkerboard_rmt.spectra import eigensolve, hollow_eigenvalues
 
 
 def _run_cli(args):
@@ -107,8 +111,17 @@ def _assert_same_text(got, expected):
     assert len(got_lines) == len(expected_lines)
 
 
+def _assert_writes_at_every_worker_count(path, header, columns, expected, monkeypatch):
+    """`_write_csv` writes `expected` at 1, 2 and 3 workers and leaves no part file."""
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
+        _write_csv(path, header, columns)
+        _assert_same_text(path.read_text(), expected)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
 @pytest.mark.parametrize("rows", [0, 1, 17, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
-def test_csv_writer_matches_the_per_cell_rule(rows):
+def test_csv_writer_matches_the_per_cell_rule(rows, tmp_path, monkeypatch):
     floats = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1 / 3, -2.5e300, 123456789.125]
     singles = [-0.0, np.nan, -np.inf, 1e-45, 0.1, 3.4e38]
     i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
@@ -121,19 +134,53 @@ def test_csv_writer_matches_the_per_cell_rule(rows):
         [other[i % len(other)] for i in range(rows)],
     )
     header = ("f64", "f32", "i64", "u64", "other")
-    _assert_same_text("".join(_csv_blocks(header, columns)), _per_cell_csv_text(header, zip(*columns)))
+    expected = _per_cell_csv_text(header, zip(*columns))
+    _assert_writes_at_every_worker_count(tmp_path / "table.csv", header, columns, expected, monkeypatch)
 
 
 @pytest.mark.parametrize("n, trials", [(16, 4097), (3, 21846)], ids=["n16", "trial-across-blocks"])
-def test_eigenvalue_table_blocks_match_the_per_cell_rule(n, trials):
+def test_eigenvalue_table_blocks_match_the_per_cell_rule(n, trials, tmp_path, monkeypatch):
     # 4097 trials of 16 end one trial into a second block; with n = 3 trial 21845 spans the boundary
     values = np.random.default_rng(n).standard_normal((trials, n))
     artifacts = _Artifacts()
     _eigenvalue_table(artifacts, values, n)
-    [(name, blocks)] = artifacts.files
-    assert name == "eigenvalues.csv" and len(blocks) == 3  # the head and two blocks of rows
-    rows = ((t, i, values[t, i]) for t in range(trials) for i in range(n))
-    _assert_same_text("".join(blocks), _per_cell_csv_text(("trial", "index", "eigenvalue"), rows))
+    [(name, (header, columns))] = artifacts.files
+    assert name == "eigenvalues.csv" and CSV_BLOCK_ROWS < len(columns[0]) <= 2 * CSV_BLOCK_ROWS  # two blocks of rows
+    expected = _per_cell_csv_text(header, ((t, i, values[t, i]) for t in range(trials) for i in range(n)))
+    _assert_writes_at_every_worker_count(tmp_path / name, header, columns, expected, monkeypatch)
+
+
+def test_eigenvalue_table_write_holds_less_than_its_file(tmp_path, monkeypatch):
+    # one worker formats every block in this process; it holds one block's text at a time, never the table's
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
+    eigs = hollow_eigenvalues(HollowParams(16), 32768)
+    tracemalloc.start()
+    try:
+        artifacts = _Artifacts()
+        _eigenvalue_table(artifacts, eigs, 16)
+        artifacts.write(tmp_path, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "eigenvalues.csv").stat().st_size
+
+
+def test_a_failed_table_write_leaves_no_manifest_and_no_part_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    assert _run_cli(["hollow", "--k", "2", "--trials", "10", "--out", out]) == 0
+    slice_rows = _TrialColumn.__getitem__
+
+    def fail_in_the_second_block(column, rows):
+        if rows.start >= CSV_BLOCK_ROWS:
+            raise CheckerboardError("column failed")
+        return slice_rows(column, rows)
+
+    monkeypatch.setattr(_TrialColumn, "__getitem__", fail_in_the_second_block)
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "2")  # 80,000 rows: the second block is the child's share
+    assert _run_cli(["hollow", "--k", "16", "--trials", "5000", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: column failed\n"
+    names = {p.name for p in out.iterdir()}
+    assert "manifest.json" not in names and not [name for name in names if name.endswith(".part")]
 
 
 def test_moment_table_json_format(tmp_path):
@@ -355,6 +402,15 @@ def test_refused_runs_end_in_one_error_line(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
     assert not out.exists()
+
+
+def test_compare_refuses_zero_trials_before_drawing(tmp_path, capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("compare drew its blip matrices")
+
+    monkeypatch.setattr(cli, "trial_spectra", draw)
+    assert _run_cli(["compare", "--trials", "0", "--algebra", "quaternion", "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
 
 
 def test_oracle_odd_order_past_enumeration_budget_is_zero(tmp_path, capsys):
