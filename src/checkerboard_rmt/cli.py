@@ -17,7 +17,7 @@ import shutil
 import sys
 from dataclasses import make_dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .moments import (
 from .spectra import (
     AtomicMeasure,
     BlipConfig,
+    _check_bins,
     average_measures,
     blip_measure,
     bulk_measure,
@@ -53,8 +54,9 @@ from .spectra import (
 
 CSV_VERSION_LINE = "# checkerboard-rmt v1"
 SCHEMA_VERSION = 1
-# Rows formatted and written per block: bounds the per-row strings alive at once.
+# Rows formatted and written per block, and per `%` conversion within a block.
 CSV_BLOCK_ROWS = 65_536
+CSV_PIECE_ROWS = 8_192
 
 
 class _Field(NamedTuple):
@@ -153,13 +155,25 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _cells(column) -> Iterator[str]:
-    """One column as text cells: the same text as `_cell`, without a call per float or integer cell."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return map(repr, column.tolist())  # shortest round-trip text, as _cell writes it
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return map(str, column.tolist())
-    return map(_cell, column)
+def _piece(columns, start: int, stop: int) -> str:
+    """Rows start..stop of the columns as CSV text, in one `%` conversion.
+
+    A row template such as "%d,%d,%r\n", repeated once per row, takes the
+    piece's cells interleaved row by row.  Float arrays take %r and integer
+    arrays %d of their Python values, the same text as `_cell`; anything else
+    takes %s of `_cell`.
+    """
+    width, codes = len(columns), []
+    cells = [None] * ((stop - start) * width)
+    for i, column in enumerate(columns):
+        values = column[start:stop]
+        if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+            codes.append("%r" if values.dtype.kind == "f" else "%d")
+            cells[i::width] = values.tolist()
+        else:
+            codes.append("%s")
+            cells[i::width] = map(_cell, values)
+    return (",".join(codes) + "\n") * (stop - start) % tuple(cells)
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -169,15 +183,17 @@ def _write_csv(path: Path, header, columns) -> None:
     worker of the trial pool.  Each worker writes every block as soon as it is
     formatted: the parent (the first share) straight into the file, each child
     into a part file beside it, which the parent then appends in order and
-    deletes.  A column is anything that slices into arrays or lists, such as
-    `_TrialColumn`.
+    deletes.  A block is CSV_PIECE_ROWS-row pieces of `_piece` joined, so no
+    per-row string is made.  A column is anything that slices into arrays or
+    lists, such as `_TrialColumn`.
     """
+    rows = len(columns[0])
 
     def block(start: int) -> str:
-        cells = [_cells(column[start : start + CSV_BLOCK_ROWS]) for column in columns]
-        return "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
+        stop = min(start + CSV_BLOCK_ROWS, rows)
+        return "".join(_piece(columns, p, min(p + CSV_PIECE_ROWS, stop)) for p in range(start, stop, CSV_PIECE_ROWS))
 
-    shares = contiguous_blocks(range(0, len(columns[0]), CSV_BLOCK_ROWS))
+    shares = contiguous_blocks(range(0, rows, CSV_BLOCK_ROWS))
     parts = [path.with_name(f"{path.name}.{index}.part") for index in range(1, len(shares))]
 
     def write_share(index: int) -> None:
@@ -330,6 +346,8 @@ def _cmd_sample(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 
 def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    _check_max_m(config.max_m)  # before anything is drawn
+    _check_bins(config.bins)
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
@@ -349,6 +367,8 @@ def _blip_trials(config: ExperimentConfig) -> tuple:
 
 
 def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    _check_max_m(config.max_m)  # before anything is drawn
+    _check_bins(config.bins)
     g, n, spectra, measures = _blip_trials(config)
     center = float(config.k - 1)
     moments = average_trial_moments(measures, config.max_m, center=center)
@@ -360,6 +380,7 @@ def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 
 def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     _check_max_m(config.max_m)  # before anything is drawn
+    _check_bins(config.bins)
     algebra = DivisionAlgebra.parse(config.algebra)
     eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=algebra, seed=config.seed), config.trials)
     moments = hollow_moments(eigs, config.max_m)
@@ -458,6 +479,7 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     if config.trials < 1:  # before the g blip matrices are drawn
         raise ParameterError(f"trials must be positive, got {config.trials}")
+    _check_max_m(config.max_m)
     g, n, _, measures = _blip_trials(config)
     averaged = average_measures(measures)
     centered = AtomicMeasure(averaged.locations - (config.k - 1), averaged.weights)

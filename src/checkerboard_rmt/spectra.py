@@ -246,14 +246,18 @@ def default_blip_range(k: int) -> tuple[float, float]:
     return (-(k - 1) - spread, (k - 1) + spread)
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 1:
+        raise ParameterError(f"bins must be >= 1, got {bins}")
+
+
 def histogram(measure: AtomicMeasure, bins: int, value_range: "tuple[float, float] | None" = None) -> HistogramTable:
     """Accumulate atom weights into equal-width bins, rescaled to total mass.
 
     The default range spans the atoms carrying more than 1e-6 of the total
     mass, padded by 5%.
     """
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
+    _check_bins(bins)
     total = measure.total_mass
     if value_range is None:
         keep = measure.weights > 1e-6 * total

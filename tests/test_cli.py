@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from checkerboard_rmt import cli
+from checkerboard_rmt import analysis, cli
 from checkerboard_rmt.cli import (
     CSV_BLOCK_ROWS,
+    CSV_PIECE_ROWS,
     CSV_VERSION_LINE,
     _Artifacts,
     _eigenvalue_table,
@@ -116,11 +117,13 @@ def _assert_writes_at_every_worker_count(path, header, columns, expected, monkey
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
         _write_csv(path, header, columns)
-        _assert_same_text(path.read_text(), expected)
+        _assert_same_text(path.read_bytes().decode(), expected)  # no newline translation
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize("rows", [0, 1, 17, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize(
+    "rows", [0, 1, 17, CSV_PIECE_ROWS - 1, CSV_PIECE_ROWS, CSV_PIECE_ROWS + 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+)
 def test_csv_writer_matches_the_per_cell_rule(rows, tmp_path, monkeypatch):
     floats = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 1 / 3, -2.5e300, 123456789.125]
     singles = [-0.0, np.nan, -np.inf, 1e-45, 0.1, 3.4e38]
@@ -138,20 +141,26 @@ def test_csv_writer_matches_the_per_cell_rule(rows, tmp_path, monkeypatch):
     _assert_writes_at_every_worker_count(tmp_path / "table.csv", header, columns, expected, monkeypatch)
 
 
-@pytest.mark.parametrize("n, trials", [(16, 4097), (3, 21846)], ids=["n16", "trial-across-blocks"])
-def test_eigenvalue_table_blocks_match_the_per_cell_rule(n, trials, tmp_path, monkeypatch):
-    # 4097 trials of 16 end one trial into a second block; with n = 3 trial 21845 spans the boundary
+@pytest.mark.parametrize(
+    "n, trials, boundary",
+    [(16, 4097, CSV_BLOCK_ROWS), (3, 21846, CSV_BLOCK_ROWS), (3, 2731, CSV_PIECE_ROWS)],
+    ids=["n16", "trial-across-blocks", "trial-across-pieces"],
+)
+def test_eigenvalue_table_blocks_match_the_per_cell_rule(n, trials, boundary, tmp_path, monkeypatch):
+    # 4097 trials of 16 end one trial into a second block; with n = 3 trial 21845 spans the block boundary
+    # and trial 2730 the first piece boundary
     values = np.random.default_rng(n).standard_normal((trials, n))
     artifacts = _Artifacts()
     _eigenvalue_table(artifacts, values, n)
     [(name, (header, columns))] = artifacts.files
-    assert name == "eigenvalues.csv" and CSV_BLOCK_ROWS < len(columns[0]) <= 2 * CSV_BLOCK_ROWS  # two blocks of rows
+    assert name == "eigenvalues.csv" and boundary < len(columns[0]) <= 2 * boundary  # rows just past the boundary
     expected = _per_cell_csv_text(header, ((t, i, values[t, i]) for t in range(trials) for i in range(n)))
     _assert_writes_at_every_worker_count(tmp_path / name, header, columns, expected, monkeypatch)
 
 
 def test_eigenvalue_table_write_holds_less_than_its_file(tmp_path, monkeypatch):
-    # one worker formats every block in this process; it holds one block's text at a time, never the table's
+    # one worker formats every block in this process; it holds one block's text at a time, never the table's,
+    # and no per-row strings
     monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
     eigs = hollow_eigenvalues(HollowParams(16), 32768)
     tracemalloc.start()
@@ -162,7 +171,7 @@ def test_eigenvalue_table_write_holds_less_than_its_file(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (tmp_path / "eigenvalues.csv").stat().st_size
+    assert peak < (tmp_path / "eigenvalues.csv").stat().st_size / 3
 
 
 def test_a_failed_table_write_leaves_no_manifest_and_no_part_file(tmp_path, capsys, monkeypatch):
@@ -392,11 +401,29 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
         (["blip", "--g", "-1"], "error: g must be positive, got -1"),
         (["compare", "--g", "0"], "error: g must be positive, got 0"),
         (["compare", "--N", "60", "--trials", "0"], "error: trials must be positive, got 0"),
+        (["bulk", "--algebra", "quaternion", "--max-m", "33"], "error: moment order cap is 32, got 33"),
+        (["blip", "--max-m", "40"], "error: moment order cap is 32, got 40"),
+        (["compare", "--algebra", "quaternion", "--max-m", "40"], "error: moment order cap is 32, got 40"),
+        (["bulk", "--algebra", "quaternion", "--bins", "0"], "error: bins must be >= 1, got 0"),
+        (["blip", "--bins", "0"], "error: bins must be >= 1, got 0"),
+        (["hollow", "--k", "16", "--bins", "0"], "error: bins must be >= 1, got 0"),
     ],
     ids=["hollow-max-m", "verify-split-no-trials", "sample-no-trials", "bulk-no-trials", "blip-no-g", "blip-negative-g",
-         "compare-no-g", "compare-no-trials"],
+         "compare-no-g", "compare-no-trials", "bulk-max-m", "blip-max-m", "compare-max-m", "bulk-no-bins",
+         "blip-no-bins", "hollow-no-bins"],
 )
-def test_refused_runs_end_in_one_error_line(tmp_path, capsys, argv, message):
+def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    # nothing is drawn: the samplers still refuse a zero count themselves, but fail on any draw
+    def refuse_only(sampler):
+        def draw(params, trials):
+            if (len(trials) if isinstance(trials, range) else trials) > 0:
+                raise AssertionError(f"{sampler.__name__} drew before the refusal")
+            return sampler(params, trials)
+
+        return draw
+
+    for module, name in ((cli, "trial_spectra"), (cli, "hollow_eigenvalues"), (analysis, "hollow_eigenvalues")):
+        monkeypatch.setattr(module, name, refuse_only(getattr(module, name)))
     out = tmp_path / "x"
     assert _run_cli([*argv, "--out", out]) == 2
     captured = capsys.readouterr()
