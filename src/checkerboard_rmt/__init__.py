@@ -18,7 +18,7 @@ from .ensembles import (
     HollowParams,
     congruence_indicator_matrix,
     sample_checkerboard,
-    sample_hollow_batch,
+    sample_hollow_chunk,
 )
 from .spectra import (
     AtomicMeasure,
@@ -65,7 +65,7 @@ __all__ = [
     "HollowParams",
     "congruence_indicator_matrix",
     "sample_checkerboard",
-    "sample_hollow_batch",
+    "sample_hollow_chunk",
     "AtomicMeasure",
     "BlipConfig",
     "Spectrum",

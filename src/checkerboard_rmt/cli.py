@@ -572,7 +572,7 @@ def main(argv=None) -> int:
         cli_values = {field.name: getattr(args, field.name) for field in _FIELDS}
         config = resolve_config(args.command, cli_values, file_values)
         return run(config)
-    except (CheckerboardError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (CheckerboardError, OSError, MemoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ diagonal), and self-adjoint random entries everywhere else.  Hollow Gaussian
 matrices are the classical GOE/GUE/GSE with the diagonal forced to zero.
 
 Randomness comes from counter-based Philox streams keyed on
-(master seed, domain, trial index), so every trial is reproducible bit-for-bit
-no matter how trials are scheduled across workers.
+(master seed, domain, trial or chunk index), so every trial is reproducible
+bit-for-bit no matter how trials are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -24,27 +24,29 @@ __all__ = [
     "CheckerboardParams",
     "HollowParams",
     "sample_checkerboard",
-    "sample_hollow_batch",
+    "sample_hollow_chunk",
     "congruence_indicator_matrix",
 ]
 
 DISTRIBUTIONS = ("normal", "rademacher")
 
-# Stream domains; 2 is retired (a single-matrix hollow sampler), never reused.
+# Stream domains; 2 (a single-matrix hollow sampler) and 3 (one stream per hollow
+# batch) are retired, never reused.
 _DOMAIN_CHECKERBOARD = 1
-_DOMAIN_HOLLOW_BATCH = 3
+_DOMAIN_HOLLOW_CHUNK = 4
 
 _MAX_SEED = 2**64
 _MAX_TRIAL = 2**48
-# Matrices of a batch drawn, assembled and solved at a time: bounds the draws and
-# triangle copies alive at once, and is one trial-pool item of a streamed batch.
+# Matrices of a hollow chunk: one Philox stream, drawn, assembled and solved as one
+# trial-pool item.  Part of the output contract: chunk j holds matrices
+# BATCH_CHUNK*j onwards, so changing it changes every hollow batch past its first chunk.
 BATCH_CHUNK = 1024
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Philox generator keyed on (seed, domain, trial index)."""
+    """Philox generator keyed on (seed, domain, trial or chunk index)."""
     if not 0 <= index < _MAX_TRIAL:
-        raise ParameterError(f"trial index {index} outside [0, 2**48)")
+        raise ParameterError(f"stream index {index} outside [0, 2**48)")
     key = np.array([seed, (domain << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -110,36 +112,23 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
     """Assemble a self-adjoint grid from component draws, zero diagonal.
 
     ``comps`` has shape (components, [batch,] N, N); only the strict upper
-    triangle of each draw is used, the lower triangle is its conjugate.  A
-    batch is assembled BATCH_CHUNK matrices at a time, so the triangle copies
-    stay small; real sums go into the spent draws themselves.
+    triangle of each draw is used, the lower triangle is its conjugate.  Real
+    sums go into the spent draws themselves.
     """
     divisor = algebra.entry_divisor
     if algebra is DivisionAlgebra.REAL:
-        grid = comps[0]
-    elif algebra is DivisionAlgebra.COMPLEX:
-        grid = np.empty(comps.shape[1:], dtype=complex)
-    else:
-        grid = np.empty((*comps.shape[1:], 4))
-    if comps.ndim == 3:  # a single matrix is one block
-        blocks = [...]
-    else:
-        blocks = [slice(s, s + BATCH_CHUNK) for s in range(0, comps.shape[1], BATCH_CHUNK)]
-    for block in blocks:
-        draws, out = comps[:, block], grid[block]
-        if algebra is DivisionAlgebra.REAL:
-            upper = np.triu(draws[0], 1)
-            np.add(upper, upper.swapaxes(-1, -2), out=out)
-        elif algebra is DivisionAlgebra.COMPLEX:
-            # one complex division by a float: dividing each part instead rounds differently
-            np.divide(draws[0] + 1j * draws[1], divisor, out=out)
-            upper = np.triu(out, 1)
-            np.conj(upper.swapaxes(-1, -2), out=out)
-            np.add(upper, out, out=out)
-        else:
-            for c in range(4):
-                upper = np.triu(draws[c] / divisor, 1)
-                (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=out[..., c])
+        upper = np.triu(comps[0], 1)
+        return np.add(upper, upper.swapaxes(-1, -2), out=comps[0])
+    if algebra is DivisionAlgebra.COMPLEX:
+        # one complex division by a float: dividing each part instead rounds differently
+        grid = np.divide(comps[0] + 1j * comps[1], divisor)
+        upper = np.triu(grid, 1)
+        np.conj(upper.swapaxes(-1, -2), out=grid)
+        return np.add(upper, grid, out=grid)
+    grid = np.empty((*comps.shape[1:], 4))
+    for c in range(4):
+        upper = np.triu(comps[c] / divisor, 1)
+        (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=grid[..., c])
     return grid
 
 
@@ -154,52 +143,19 @@ def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> Hermiti
     return HermitianMatrix(data, params.algebra)
 
 
-def sample_hollow_batch(params: HollowParams, trials: int) -> np.ndarray:
-    """Draw a stack of hollow matrices (zero diagonal, unit-variance entries)
-    as one array of shape (trials, k, k[, 4]).
+def sample_hollow_chunk(params: HollowParams, index: int, size: int) -> np.ndarray:
+    """Matrices BATCH_CHUNK*index to BATCH_CHUNK*index + size - 1 of a hollow batch,
+    zero diagonal and unit-variance entries, as one array of shape (size, k, k[, 4]).
 
-    The whole batch comes from a single Philox stream keyed on (seed, 0).
+    Each chunk is its own Philox stream keyed on (seed, index), and draws its
+    matrices one after another, so matrix t depends only on (seed, t): a batch
+    of fewer trials is a prefix of a larger one.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, 0)
-    comps = rng.standard_normal((params.algebra.components, trials, params.k, params.k))
-    return _hermitian_from_upper(comps, params.algebra)
-
-
-def hollow_chunks(params: HollowParams, trials: int) -> list:
-    """`sample_hollow_batch(params, trials)` as chunks of BATCH_CHUNK matrices, the last ragged.
-
-    Each chunk is a pair (size, states), with one Philox state per component.
-    The batch's stream holds every draw of component 0, then of component 1,
-    and so on.  One pass over it records the state at the start of every
-    (component, chunk) and keeps one chunk of draws in memory at a time;
-    `sample_hollow_chunk` draws the chunk's normals again from those states.
-    """
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, 0)
-    sizes = [min(BATCH_CHUNK, trials - start) for start in range(0, trials, BATCH_CHUNK)]
-    states = [[] for _ in sizes]
-    spent = np.empty((sizes[0], params.k, params.k))
-    components = params.algebra.components
-    for c in range(components):
-        for j, size in enumerate(sizes):
-            states[j].append(rng.bit_generator.state)
-            if (c, j) != (components - 1, len(sizes) - 1):  # the final draw leads to no state that is kept
-                rng.standard_normal(out=spent[:size])
-    return list(zip(sizes, states))
-
-
-def sample_hollow_chunk(params: HollowParams, chunk: tuple) -> np.ndarray:
-    """The matrices of one chunk from `hollow_chunks`, equal to its slice of the whole batch."""
-    size, states = chunk
-    rng = _stream(params.seed, _DOMAIN_HOLLOW_BATCH, 0)  # each saved state carries its own key and counter
-    comps = np.empty((params.algebra.components, size, params.k, params.k))
-    for draws, state in zip(comps, states):
-        rng.bit_generator.state = state
-        rng.standard_normal(out=draws)
-    return _hermitian_from_upper(comps, params.algebra)
+    if not 1 <= size <= BATCH_CHUNK:
+        raise ParameterError(f"chunk size must be in [1, {BATCH_CHUNK}], got {size}")
+    rng = _stream(params.seed, _DOMAIN_HOLLOW_CHUNK, index)
+    comps = rng.standard_normal((size, params.algebra.components, params.k, params.k))
+    return _hermitian_from_upper(comps.swapaxes(0, 1), params.algebra)
 
 
 def congruence_indicator_matrix(dim: int, k: int, w: float) -> HermitianMatrix:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
-from .ensembles import CheckerboardParams, HollowParams, hollow_chunks, sample_checkerboard, sample_hollow_chunk
+from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
 __all__ = [
@@ -141,10 +141,12 @@ def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
 def eigensolve(matrix: HermitianMatrix) -> Spectrum:
     """Eigenvalues of a self-adjoint matrix, ascending, checked against its trace."""
     vals = _eigenvalues(matrix.data, matrix.algebra)
-    total = vals.sum()
-    trace = matrix.trace()
-    # written so that a NaN or inf spectrum fails the check too
-    if not (abs(total - trace) <= _TRACE_RTOL * max(1.0, abs(trace), float(np.abs(vals).sum()))):
+    # written so that a NaN or inf spectrum or trace fails the check, without a warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = vals.sum()
+        trace = matrix.trace()
+        agree = abs(total - trace) <= _TRACE_RTOL * max(1.0, abs(trace), float(np.abs(vals).sum()))
+    if not agree:
         raise NumericalDegeneracyError(
             f"eigenvalue sum {total} disagrees with trace {trace} (dim={matrix.dim}, algebra={matrix.algebra.value})"
         )
@@ -152,17 +154,20 @@ def eigensolve(matrix: HermitianMatrix) -> Spectrum:
 
 
 def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
-    """Eigenvalues of `sample_hollow_batch(params, trials)`, shape (trials, k).
+    """Eigenvalues of the first `trials` matrices of a hollow batch, shape (trials, k).
 
-    The batch is drawn, assembled and solved one chunk at a time on the trial
-    pool, so it never exists whole. Every matrix is solved on its own, so the
-    result does not depend on the split or the workers.
+    Each `sample_hollow_chunk` is drawn, assembled and solved as one item of
+    the trial pool, so the batch never exists whole. Every matrix is solved on
+    its own, so the result does not depend on the workers.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
 
-    def solve(chunk) -> np.ndarray:
-        return _eigenvalues(sample_hollow_chunk(params, chunk), params.algebra)
+    def solve(index: int) -> np.ndarray:
+        size = min(BATCH_CHUNK, trials - index * BATCH_CHUNK)
+        return _eigenvalues(sample_hollow_chunk(params, index, size), params.algebra)
 
-    return np.concatenate(parallel_map(solve, hollow_chunks(params, trials)))
+    return np.concatenate(parallel_map(solve, range(-(-trials // BATCH_CHUNK))))
 
 
 def trial_spectra(params: CheckerboardParams, trials: range) -> list:

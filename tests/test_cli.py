@@ -240,14 +240,14 @@ def test_hollow_command(tmp_path):
     assert abs(m2 - 1.0) < 0.15  # second hollow moment tends to k - 1
 
 
-# SHA-256 of hollow --k 3 --trials 9000 --seed 5: three chunks of the stream, their moment traces and CSV text.
+# SHA-256 of hollow --k 3 --trials 9000 --seed 5: nine chunk streams, their moment traces and CSV text.
 _GOLDEN_HOLLOW_CSV = {
-    "real": ("69d0eebf2dcf896e50fd2c02d875732646c65d39a0e9eb1e32d99ab481717840",
-             "f8dc5be5b8fd8ee523358dd06369acd8ddf3f8429fca75b5ac734469e89f7701"),
-    "complex": ("adadf5caad1e6b99f1173d392a7911f93710167c0ee5068f5fa2c1f9b2356689",
-                "3a0b18660ddf1c4d43bb8d31cf2327f757cbf2c94a7b75dbbea2fc8e479140db"),
-    "quaternion": ("7f3702c7e232daba57f5b3edb5f2556f7bc804fd76ef99bf4fd062b678f60e4f",
-                   "e9666daf20c8e11ee364eed92a4d753b68efeeb6c9c5d23d19bf5a00238d430e"),
+    "real": ("def39a93a53f3e1aacdb031cd4f811283734c0399847cb0f73fe4eff381805bb",
+             "6a2b030569fa7c84a9c11eee3d2ce9ecdfe1766fab28cc3989e9db0c6b9b253b"),
+    "complex": ("966a7c0de25debebae021779af17880af5866447b4f3430f27fdd413e7b4501d",
+                "45bfb34cc2ef518242bf5fbc8c20af24224a22eae6c4bf72251c1785968c1437"),
+    "quaternion": ("e6ae164337c45f68f7f698df78f2417d54c04c004147ce6654a4023bdb5734df",
+                   "ca51a9fe8194505178778c7af7aad4ab4efa2740c23104b5ac28e35d97c88f13"),
 }
 
 
@@ -390,30 +390,41 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["hollow", "--k", "2", "--max-m", "40"], "error: moment order cap is 32, got 40"),
-        (["verify-split", "--trials", "0"], "error: trials must be positive, got 0"),
-        (["sample", "--trials", "0"], "error: trials must be positive, got 0"),
-        (["bulk", "--trials", "0"], "error: trials must be positive, got 0"),
-        (["blip", "--g", "0"], "error: g must be positive, got 0"),
-        (["blip", "--g", "-1"], "error: g must be positive, got -1"),
-        (["compare", "--g", "0"], "error: g must be positive, got 0"),
-        (["compare", "--N", "60", "--trials", "0"], "error: trials must be positive, got 0"),
-        (["bulk", "--algebra", "quaternion", "--max-m", "33"], "error: moment order cap is 32, got 33"),
-        (["blip", "--max-m", "40"], "error: moment order cap is 32, got 40"),
-        (["compare", "--algebra", "quaternion", "--max-m", "40"], "error: moment order cap is 32, got 40"),
-        (["bulk", "--algebra", "quaternion", "--bins", "0"], "error: bins must be >= 1, got 0"),
-        (["blip", "--bins", "0"], "error: bins must be >= 1, got 0"),
-        (["hollow", "--k", "16", "--bins", "0"], "error: bins must be >= 1, got 0"),
-    ],
-    ids=["hollow-max-m", "verify-split-no-trials", "sample-no-trials", "bulk-no-trials", "blip-no-g", "blip-negative-g",
-         "compare-no-g", "compare-no-trials", "bulk-max-m", "blip-max-m", "compare-max-m", "bulk-no-bins",
-         "blip-no-bins", "hollow-no-bins"],
-)
-def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
-    # nothing is drawn: the samplers still refuse a zero count themselves, but fail on any draw
+# (argv, message, drawn): `drawn` runs are refused while drawing, the others before any draw
+_REFUSED_RUNS = {
+    "hollow-max-m": (["hollow", "--k", "2", "--max-m", "40"], "error: moment order cap is 32, got 40", False),
+    "verify-split-no-trials": (["verify-split", "--trials", "0"], "error: trials must be positive, got 0", False),
+    "sample-no-trials": (["sample", "--trials", "0"], "error: trials must be positive, got 0", False),
+    "bulk-no-trials": (["bulk", "--trials", "0"], "error: trials must be positive, got 0", False),
+    "blip-no-g": (["blip", "--g", "0"], "error: g must be positive, got 0", False),
+    "blip-negative-g": (["blip", "--g", "-1"], "error: g must be positive, got -1", False),
+    "compare-no-g": (["compare", "--g", "0"], "error: g must be positive, got 0", False),
+    "compare-no-trials": (["compare", "--N", "60", "--trials", "0"], "error: trials must be positive, got 0", False),
+    "bulk-max-m": (["bulk", "--algebra", "quaternion", "--max-m", "33"], "error: moment order cap is 32, got 33", False),
+    "blip-max-m": (["blip", "--max-m", "40"], "error: moment order cap is 32, got 40", False),
+    "compare-max-m": (["compare", "--algebra", "quaternion", "--max-m", "40"], "error: moment order cap is 32, got 40",
+                      False),
+    "bulk-no-bins": (["bulk", "--algebra", "quaternion", "--bins", "0"], "error: bins must be >= 1, got 0", False),
+    "blip-no-bins": (["blip", "--bins", "0"], "error: bins must be >= 1, got 0", False),
+    "hollow-no-bins": (["hollow", "--k", "16", "--bins", "0"], "error: bins must be >= 1, got 0", False),
+    # arrays past 2**57 bytes, beyond any user address space of 4- or 5-level paging, and a trace that overflows
+    "bulk-huge-N": (["bulk", "--N", "200000000", "--trials", "2"],
+                    "error: Unable to allocate 284. PiB for an array with shape (1, 200000000, 200000000) and data "
+                    "type float64", True),
+    "hollow-huge-k": (["hollow", "--k", "200000000", "--trials", "1"],
+                      "error: Unable to allocate 284. PiB for an array with shape (1, 1, 200000000, 200000000) and "
+                      "data type float64", True),
+    "bulk-huge-bins": (["bulk", "--N", "10", "--trials", "2", "--bins", "100000000000000000"],
+                       "error: Unable to allocate 711. PiB for an array with shape (100000000000000000,) and data "
+                       "type float64", True),
+    "bulk-huge-w": (["bulk", "--N", "4", "--trials", "1", "--w", "1e308"],
+                    "error: eigenvalue sum inf disagrees with trace inf (dim=4, algebra=real)", True),
+}
+
+
+@pytest.mark.parametrize("argv, message, drawn", list(_REFUSED_RUNS.values()), ids=list(_REFUSED_RUNS))
+def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, recwarn, argv, message, drawn):
+    # before drawing, the samplers still refuse a zero count themselves, but fail on any draw
     def refuse_only(sampler):
         def draw(params, trials):
             if (len(trials) if isinstance(trials, range) else trials) > 0:
@@ -422,12 +433,14 @@ def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, argv,
 
         return draw
 
-    for module, name in ((cli, "trial_spectra"), (cli, "hollow_eigenvalues"), (analysis, "hollow_eigenvalues")):
-        monkeypatch.setattr(module, name, refuse_only(getattr(module, name)))
+    if not drawn:
+        for module, name in ((cli, "trial_spectra"), (cli, "hollow_eigenvalues"), (analysis, "hollow_eigenvalues")):
+            monkeypatch.setattr(module, name, refuse_only(getattr(module, name)))
     out = tmp_path / "x"
     assert _run_cli([*argv, "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.err == message + "\n" and captured.out == ""
+    assert [str(w.message) for w in recwarn] == []  # a warning would print before the error line
     assert not out.exists()
 
 

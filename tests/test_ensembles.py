@@ -1,7 +1,6 @@
 """Checkerboard and hollow samplers: patterns, normalization, determinism."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +11,11 @@ from checkerboard_rmt.ensembles import (
     CheckerboardParams,
     HollowParams,
     congruence_indicator_matrix,
-    hollow_chunks,
     sample_checkerboard,
-    sample_hollow_batch,
     sample_hollow_chunk,
 )
 from checkerboard_rmt.exceptions import ParameterError
+from checkerboard_rmt.spectra import hollow_eigenvalues
 
 
 def test_modulus_one_gives_all_constant():
@@ -86,28 +84,30 @@ def test_off_congruence_entry_statistics():
 
 
 def test_hollow_size_one_is_zero():
-    m = sample_hollow_batch(HollowParams(k=1, seed=0), 1)[0]
+    m = sample_hollow_chunk(HollowParams(k=1, seed=0), 0, 1)[0]
     assert np.array_equal(m, np.zeros((1, 1)))
 
 
 def test_hollow_two_by_two_structure():
-    m = sample_hollow_batch(HollowParams(k=2, seed=9), 1)[0]
+    m = sample_hollow_chunk(HollowParams(k=2, seed=9), 0, 1)[0]
     assert m[0, 0] == 0.0 and m[1, 1] == 0.0
     assert m[0, 1] == m[1, 0] != 0.0
 
 
 def test_hollow_unit_second_moment():
-    # sample mean of |b_01|^2 over 1e5 draws close to 1 for every algebra
+    # sample mean of |b_01|^2 over 1e5 draws (98 chunks) close to 1 for every algebra
     for algebra in DivisionAlgebra:
-        batch = sample_hollow_batch(HollowParams(k=2, algebra=algebra, seed=31), 100_000)
-        entry = batch[:, 0, 1]
+        params = HollowParams(k=2, algebra=algebra, seed=31)
+        sizes = [min(BATCH_CHUNK, 100_000 - start) for start in range(0, 100_000, BATCH_CHUNK)]
+        entry = np.concatenate([sample_hollow_chunk(params, j, size)[:, 0, 1] for j, size in enumerate(sizes)])
+        assert entry.shape[0] == 100_000
         sq = np.abs(entry) ** 2 if algebra is not DivisionAlgebra.QUATERNION else np.sum(entry**2, axis=-1)
         assert abs(sq.mean() - 1.0) < 0.02, algebra
 
 
 def test_hollow_batch_selfadjoint_zero_diagonal():
     for algebra in DivisionAlgebra:
-        batch = sample_hollow_batch(HollowParams(k=4, algebra=algebra, seed=2), 16)
+        batch = sample_hollow_chunk(HollowParams(k=4, algebra=algebra, seed=2), 3, 16)
         for t in (0, 7, 15):
             grid = batch[t]
             assert np.array_equal(grid, conjugate_transpose(grid, algebra))
@@ -147,10 +147,10 @@ _GOLDEN_CHECKERBOARD = {
     ("quaternion", "normal"): "2538eec25a249180",
     ("quaternion", "rademacher"): "75889ab04fffd2a8",
 }
-# A hollow batch is stream batch 0, the only one `hollow` and `compare` read.
-_GOLDEN_HOLLOW_BATCH = {"real": "34f63a52646bf357", "complex": "3ea8382ccbc2cb48", "quaternion": "74dc613b9090a9b6"}
-# 9000 matrices span three assembly blocks
-_GOLDEN_BLOCKED_BATCH = {"real": "1a4ec77081db759d", "complex": "928d2893362c5d4e", "quaternion": "97bdb1e98765e1b2"}
+# Chunk 0 of a batch: matrices 0-5 of the stream keyed on (seed, chunk 0).
+_GOLDEN_HOLLOW_BATCH = {"real": "bf882c4b9386ed56", "complex": "d7347f8fd08443b6", "quaternion": "4112fecd9fbb92a1"}
+# 9000 matrices are nine chunks: the last, chunk 8, holds 808
+_GOLDEN_BLOCKED_BATCH = {"real": "e93327d8aea75e33", "complex": "9751669beb830eca", "quaternion": "dfc694978ee6d086"}
 
 
 def _digest(array):
@@ -165,43 +165,37 @@ def test_checkerboard_bytes_are_pinned(algebra, dist):
 
 @pytest.mark.parametrize("algebra", sorted(_GOLDEN_HOLLOW_BATCH))
 def test_hollow_batch_bytes_are_pinned(algebra):
-    batch = sample_hollow_batch(HollowParams(k=4, algebra=algebra, seed=11), 6)
+    batch = sample_hollow_chunk(HollowParams(k=4, algebra=algebra, seed=11), 0, 6)
     assert _digest(batch) == _GOLDEN_HOLLOW_BATCH[algebra]
 
 
 @pytest.mark.parametrize("algebra", sorted(_GOLDEN_BLOCKED_BATCH))
 def test_blocked_hollow_batch_bytes_are_pinned(algebra):
-    batch = sample_hollow_batch(HollowParams(k=2, algebra=algebra, seed=5), 9000)
+    assert 9000 - 8 * BATCH_CHUNK == 808
+    batch = sample_hollow_chunk(HollowParams(k=2, algebra=algebra, seed=5), 8, 808)
     assert _digest(batch) == _GOLDEN_BLOCKED_BATCH[algebra]
 
 
-def test_hollow_batch_assembles_without_a_full_copy():
-    # the draws become the output; only one block of triangle copies is alive at a time
-    tracemalloc.start()
-    try:
-        batch = sample_hollow_batch(HollowParams(16), 32768)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * batch.nbytes
+def test_hollow_chunk_draws_one_matrix_after_another():
+    # the chunk's stream holds matrix 0's components, then matrix 1's, and so on
+    params = HollowParams(k=3, algebra="complex", seed=8)
+    key = np.array([8, (4 << 48) | 2], dtype=np.uint64)
+    draws = np.random.Generator(np.random.Philox(key=key)).standard_normal((5, 2, 3, 3))
+    upper = np.triu(draws[:, 0] + 1j * draws[:, 1], 1) / np.sqrt(2.0)
+    expected = upper + np.conj(upper.swapaxes(1, 2))
+    assert np.array_equal(sample_hollow_chunk(params, 2, 5), expected)
 
 
-@pytest.mark.parametrize("trials, sizes", [(9000, [BATCH_CHUNK] * (9000 // BATCH_CHUNK) + [9000 % BATCH_CHUNK]),
-                                           (1000, [1000])],
-                         ids=["ragged", "one-chunk"])
 @pytest.mark.parametrize("algebra", ["real", "complex", "quaternion"])
-def test_streamed_chunks_equal_the_whole_batch(algebra, trials, sizes):
-    # each component's draws are one run of the stream: chunk j of component c starts mid-stream
+def test_fewer_hollow_trials_are_a_prefix(algebra):
     params = HollowParams(k=3, algebra=algebra, seed=7)
-    chunks = hollow_chunks(params, trials)
-    assert [size for size, _ in chunks] == sizes
-    assert all(len(states) == params.algebra.components for _, states in chunks)
-    streamed = np.concatenate([sample_hollow_chunk(params, chunk) for chunk in chunks])
-    whole = sample_hollow_batch(params, trials)
-    assert streamed.dtype == whole.dtype and streamed.shape == whole.shape
-    assert streamed.tobytes() == whole.tobytes()
+    assert np.array_equal(hollow_eigenvalues(params, 1500), hollow_eigenvalues(params, 5000)[:1500])
 
 
-def test_hollow_chunks_need_a_trial():
+def test_hollow_chunk_sizes_are_checked():
+    params = HollowParams(3)
+    for size in (0, BATCH_CHUNK + 1):
+        with pytest.raises(ParameterError, match="chunk size must be in"):
+            sample_hollow_chunk(params, 0, size)
     with pytest.raises(ParameterError, match="trials must be positive"):
-        hollow_chunks(HollowParams(3), 0)
+        hollow_eigenvalues(params, 0)

@@ -8,11 +8,12 @@ import pytest
 
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from checkerboard_rmt.ensembles import (
+    BATCH_CHUNK,
     CheckerboardParams,
     HollowParams,
     congruence_indicator_matrix,
     sample_checkerboard,
-    sample_hollow_batch,
+    sample_hollow_chunk,
 )
 from checkerboard_rmt.exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 from checkerboard_rmt.spectra import (
@@ -80,9 +81,11 @@ def test_quaternion_path_matches_embedding():
 
 @pytest.mark.parametrize("algebra", ["real", "complex"])
 def test_hollow_eigenvalues_chunks_match_one_solve(algebra):
-    # 9000 matrices: three chunks on the trial pool, in order, each matrix solved on its own
+    # 9000 matrices: nine chunks on the trial pool, in order, each matrix solved on its own
     params = HollowParams(k=3, algebra=algebra, seed=4)
-    assert np.array_equal(hollow_eigenvalues(params, 9000), np.linalg.eigvalsh(sample_hollow_batch(params, 9000)))
+    sizes = [BATCH_CHUNK] * 8 + [9000 - 8 * BATCH_CHUNK]
+    batch = np.concatenate([sample_hollow_chunk(params, j, size) for j, size in enumerate(sizes)])
+    assert np.array_equal(hollow_eigenvalues(params, 9000), np.linalg.eigvalsh(batch))
 
 
 def test_hollow_eigenvalues_hold_one_chunk_of_draws(monkeypatch):
