@@ -35,7 +35,6 @@ from .spectra import (
 )
 from .moments import (
     MomentVector,
-    OracleResult,
     alternating_binomial_sum,
     average_trial_moments,
     blip_limit_moment,
@@ -78,7 +77,6 @@ __all__ = [
     "hollow_eigenvalues",
     "trial_spectra",
     "MomentVector",
-    "OracleResult",
     "alternating_binomial_sum",
     "average_trial_moments",
     "blip_limit_moment",

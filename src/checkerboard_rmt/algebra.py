@@ -49,26 +49,13 @@ class DivisionAlgebra(Enum):
             raise AlgebraMismatchError(f"unknown division algebra {name!r}; expected real, complex, or quaternion") from None
 
 
-def infer_algebra(data: np.ndarray) -> DivisionAlgebra:
-    """Guess the algebra of a dense grid from its dtype and shape."""
-    data = np.asarray(data)
-    if data.ndim == 3 and data.shape[-1] == 4:
-        return DivisionAlgebra.QUATERNION
-    if data.ndim == 2 and np.iscomplexobj(data):
-        return DivisionAlgebra.COMPLEX
-    if data.ndim == 2:
-        return DivisionAlgebra.REAL
-    raise AlgebraMismatchError(f"cannot infer algebra from array of shape {data.shape}")
-
-
-def conjugate_transpose(data: np.ndarray, algebra: "DivisionAlgebra | None" = None) -> np.ndarray:
+def conjugate_transpose(data: np.ndarray, algebra: "DivisionAlgebra | str") -> np.ndarray:
     """Conjugate transpose of a dense square grid over any of the three algebras.
 
     Applying it twice returns the input exactly.
     """
     data = np.asarray(data)
-    if algebra is None:
-        algebra = infer_algebra(data)
+    algebra = DivisionAlgebra.parse(algebra)
     if data.ndim < 2 or data.shape[0] != data.shape[1]:
         raise DimensionError(f"conjugate transpose requires a square matrix, got shape {data.shape}")
     if algebra is DivisionAlgebra.REAL:
@@ -91,10 +78,7 @@ class HermitianMatrix:
 
     __slots__ = ("data", "algebra")
 
-    def __init__(self, data: np.ndarray, algebra: "DivisionAlgebra | str | None" = None, *, validate: bool = True):
-        data = np.asarray(data)
-        if algebra is None:
-            algebra = infer_algebra(data)
+    def __init__(self, data: np.ndarray, algebra: "DivisionAlgebra | str", *, validate: bool = True):
         algebra = DivisionAlgebra.parse(algebra)
         if algebra is DivisionAlgebra.QUATERNION:
             data = np.asarray(data, dtype=float)

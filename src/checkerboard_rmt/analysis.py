@@ -57,14 +57,18 @@ class RegimeSplit:
     target: float
 
 
+def _check_exponent(exponent: float) -> None:
+    if not 0.5 < exponent < 1.0:
+        raise ParameterError(f"exponent must lie in (0.5, 1), got {exponent}")
+
+
 def split_regimes(spectrum: Spectrum, k: int, w: float, exponent: float = 0.65) -> RegimeSplit:
     """Classify eigenvalues: |x| < N^exponent is bulk, |x - N*w/k| < N^exponent is blip.
 
     Raises RegimeOverlapError when any eigenvalue matches both windows or
     neither, which signals that N is too small for the chosen exponent.
     """
-    if not 0.5 < exponent < 1.0:
-        raise ParameterError(f"exponent must lie in (0.5, 1), got {exponent}")
+    _check_exponent(exponent)
     n = spectrum.source_dimension
     threshold = float(n) ** exponent
     target = n * w / k

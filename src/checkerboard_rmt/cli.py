@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from ._parallel import contiguous_blocks, parallel_map
-from .algebra import DivisionAlgebra
-from .analysis import compare_blip_to_hollow, split_regimes
+from .analysis import _check_exponent, compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
 from .moments import (
+    _check_desk_scale,
     _check_max_m,
     alternating_binomial_sum,
     average_trial_moments,
@@ -44,7 +44,6 @@ from .spectra import (
     blip_measure,
     bulk_measure,
     default_average_count,
-    default_blip_half_degree,
     default_blip_range,
     eigensolve,
     histogram,
@@ -246,14 +245,8 @@ class _Artifacts:
         else:
             self.files.append((f"{name}.csv", (header, columns)))
 
-    def csv(self, name: str, header, columns):
-        self.table(name, header, columns, "csv")
-
     def json(self, name: str, payload: dict):
         self.files.append((f"{name}.json", _json_text(payload)))
-
-    def text(self, filename: str, content: str):
-        self.files.append((filename, content))
 
     def write(self, out_dir: Path, manifest: dict) -> list:
         """Write every file plus manifest.json, first deleting the outputs a previous
@@ -279,24 +272,20 @@ class _Artifacts:
 
 
 _SIDECAR = """{version}
-# Plot sidecar for {csv_name}: run `gnuplot -p {gp_name}`.
+# Plot sidecar for histogram.csv: run `gnuplot -p histogram.gp`.
 set datafile separator comma
 set style fill solid 0.6 border -1
 set xlabel "location"
 set ylabel "density"
-plot "{csv_name}" skip 2 using (0.5*($1+$2)):3:($2-$1) with boxes notitle
+plot "histogram.csv" skip 2 using (0.5*($1+$2)):3:($2-$1) with boxes notitle
 """
 
 
-def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, artifacts: _Artifacts,
-                          value_range=None, name: str = "histogram") -> None:
+def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, artifacts: _Artifacts, value_range=None):
     """Histogram CSV plus a gnuplot sidecar so the figure renders without the library."""
     table = histogram(measure, config.bins, value_range)
-    artifacts.csv(name, ("bin_lo", "bin_hi", "density"), (table.bin_lo, table.bin_hi, table.density))
-    artifacts.text(
-        f"{name}.gp",
-        _SIDECAR.format(version=CSV_VERSION_LINE, csv_name=f"{name}.csv", gp_name=f"{name}.gp"),
-    )
+    artifacts.table("histogram", ("bin_lo", "bin_hi", "density"), (table.bin_lo, table.bin_hi, table.density), "csv")
+    artifacts.files.append(("histogram.gp", _SIDECAR.format(version=CSV_VERSION_LINE)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +311,7 @@ def _eigenvalue_table(artifacts: _Artifacts, per_trial, n: int) -> None:
     """eigenvalues.csv: (trial, index, eigenvalue) columns from one length-n eigenvalue array per trial."""
     values = np.asarray(per_trial, dtype=float).reshape(-1)
     columns = (_TrialColumn(values.size, n, False), _TrialColumn(values.size, n, True), values)
-    artifacts.csv("eigenvalues", ("trial", "index", "eigenvalue"), columns)
+    artifacts.table("eigenvalues", ("trial", "index", "eigenvalue"), columns, "csv")
 
 
 _MOMENT_HEADER = ("m", "value", "stderr")
@@ -360,10 +349,9 @@ def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 def _blip_trials(config: ExperimentConfig) -> tuple:
     """g, n, the spectra and the blip measures of g sampled matrices (blip and compare)."""
     g = config.g if config.g is not None else default_average_count(config.dim)
-    n = config.n if config.n is not None else default_blip_half_degree(config.dim)
-    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, n)
+    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, config.n)
     spectra = trial_spectra(_checkerboard_params(config), range(g))
-    return g, n, spectra, [blip_measure(s, config.k, blip_cfg) for s in spectra]
+    return g, blip_cfg.n, spectra, [blip_measure(s, config.k, blip_cfg) for s in spectra]
 
 
 def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
@@ -381,35 +369,29 @@ def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
 def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     _check_max_m(config.max_m)  # before anything is drawn
     _check_bins(config.bins)
-    algebra = DivisionAlgebra.parse(config.algebra)
-    eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=algebra, seed=config.seed), config.trials)
+    eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=config.algebra, seed=config.seed), config.trials)
     moments = hollow_moments(eigs, config.max_m)
     measure = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
     _eigenvalue_table(artifacts, eigs, config.k)
     artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))
-    return {"ensemble": f"hollow-{algebra.value}"}, 0
+    return {"ensemble": f"hollow-{config.algebra}"}, 0
 
 
 def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     orders = [config.m] if config.m is not None else list(range(config.max_m + 1))
-    results = [hollow_moment_oracle(config.k, m, config.algebra) for m in orders]
-    values = [r.value for r in results]
+    exacts = [hollow_moment_oracle(config.k, m, config.algebra) for m in orders]
+    values = [float(exact) for exact in exacts]
     artifacts.table("moments", _MOMENT_HEADER, (orders, values, [None] * len(orders)), config.fmt)
-    artifacts.json(
-        "oracle",
-        {
-            "k": config.k,
-            "algebra": DivisionAlgebra.parse(config.algebra).value,
-            "results": [{"m": r.m, "value": r.value, "exact": str(r.exact)} for r in results],
-        },
-    )
+    results = [{"m": m, "value": value, "exact": str(exact)} for m, value, exact in zip(orders, values, exacts)]
+    artifacts.json("oracle", {"k": config.k, "algebra": config.algebra, "results": results})
     for r in results:
-        print(f"hollow moment k={r.k} m={r.m} [{r.algebra.value}]: {r.value} (exact {r.exact})")
+        print(f"hollow moment k={config.k} m={r['m']} [{config.algebra}]: {r['value']} (exact {r['exact']})")
     return {"orders": orders}, 0
 
 
 def _cmd_verify_split(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
+    _check_exponent(config.exponent)  # before anything is drawn
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     per_trial = []
     all_ok = True
@@ -447,9 +429,9 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
             got = alternating_binomial_sum(m, p)
             expected = (-1) ** m * math.factorial(m) if p == m else 0
             checks.append({"kind": "alternating-binomial", "m": m, "p": p, "value": got, "ok": got == expected})
-    n = config.n if config.n is not None else 2
-    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, n)
+    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, 2 if config.n is None else config.n)
     params = _checkerboard_params(config)
+    _check_desk_scale(config.dim, blip_cfg.n)  # before trial 0 is drawn
     for trial in range(config.trials):
         matrix = sample_checkerboard(params, trial)
         spectrum = eigensolve(matrix)
@@ -473,7 +455,7 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
         {"command": "verify-identities", "config": _config_echo(config), "checks": checks, "passed": all_ok},
     )
     print(f"verify-identities: {'PASS' if all_ok else 'FAIL'} ({len(checks)} checks)")
-    return {"n": n}, 0 if all_ok else 1
+    return {"n": blip_cfg.n}, 0 if all_ok else 1
 
 
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:

@@ -26,12 +26,11 @@ from ._parallel import parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK
 from .exceptions import EnumerationBudgetError, ParameterError
-from .spectra import AtomicMeasure, BlipConfig
+from .spectra import AtomicMeasure, BlipConfig, _check_modulus
 
 __all__ = [
     "MAX_MOMENT",
     "MomentVector",
-    "OracleResult",
     "measure_moments",
     "average_trial_moments",
     "hollow_moments",
@@ -68,6 +67,17 @@ def _check_max_m(max_m: int) -> None:
         raise ParameterError(f"moment order cap is {MAX_MOMENT}, got {max_m}")
 
 
+def _check_desk_scale(dim: int, n: int) -> None:
+    if dim > 16 or n > 3:
+        raise ParameterError(f"desk-scale evaluation requires dim <= 16 and n <= 3, got dim={dim}, n={n}")
+
+
+def _trial_mean(table: np.ndarray) -> MomentVector:
+    """Mean of a (trials, orders) table, with standard errors across its rows (None for one row)."""
+    stderr = table.std(axis=0, ddof=1) / math.sqrt(len(table)) if len(table) > 1 else None
+    return MomentVector(table.mean(axis=0), stderr)
+
+
 def measure_moments(measure: AtomicMeasure, max_m: int, center: "float | None" = None) -> MomentVector:
     """values[m] = sum_i weight_i * (location_i - center)^m for m = 0..max_m."""
     _check_max_m(max_m)
@@ -82,9 +92,7 @@ def average_trial_moments(measures, max_m: int, center: "float | None" = None) -
     table = np.array([measure_moments(m, max_m, center).values for m in measures])
     if table.shape[0] == 0:
         raise ParameterError("need at least one measure")
-    mean = table.mean(axis=0)
-    stderr = table.std(axis=0, ddof=1) / math.sqrt(table.shape[0]) if table.shape[0] > 1 else None
-    return MomentVector(mean, stderr)
+    return _trial_mean(table)
 
 
 def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
@@ -103,10 +111,7 @@ def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
     def traces(start: int) -> np.ndarray:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
         return (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / k
 
-    per_trial = np.concatenate(parallel_map(traces, range(0, trials, BATCH_CHUNK)))
-    values = per_trial.mean(axis=0)
-    stderr = per_trial.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else None
-    return MomentVector(values, stderr)
+    return _trial_mean(np.concatenate(parallel_map(traces, range(0, trials, BATCH_CHUNK))))
 
 
 def catalan(n: int) -> int:
@@ -220,18 +225,7 @@ def _exact_hollow_trace_moment(k: int, m: int, algebra: DivisionAlgebra) -> Frac
     return k * walk(0, 0, 0, 1, 0) * Fraction(1, len(steps[0])) ** (m // 2)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Value of (1/k) E tr B^m over a hollow Gaussian ensemble."""
-
-    k: int
-    m: int
-    algebra: DivisionAlgebra
-    value: float
-    exact: Fraction
-
-
-def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> OracleResult:
+def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> Fraction:
     """(1/k) E tr B^m by exact Wick enumeration, for real, complex and quaternion entries."""
     algebra = DivisionAlgebra.parse(algebra)
     if k < 1 or m < 0:
@@ -242,24 +236,12 @@ def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = Divi
             f"enumeration of {walks} index walks exceeds the {ENUMERATION_BUDGET} budget; "
             "sample instead with the hollow command or hollow_moments"
         )
-    exact = _exact_hollow_trace_moment(k, m, algebra) / k
-    return OracleResult(k, m, algebra, float(exact), exact)
+    return _exact_hollow_trace_moment(k, m, algebra) / k
 
 
-def blip_limit_moment(
-    k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL, centered: bool = True
-) -> float:
-    """Limiting m-th moment of the blip measure.
-
-    Centered (about the mean k - 1) it equals the hollow-ensemble moment
-    (1/k) E tr B^m; uncentered it is the binomial mixture
-    (1/k) sum_j C(m, j) (k-1)^(m-j) E tr B^j.
-    """
-    algebra = DivisionAlgebra.parse(algebra)
-    if centered:
-        return float(hollow_moment_oracle(k, m, algebra).exact)
-    total = sum(math.comb(m, j) * (k - 1) ** (m - j) * hollow_moment_oracle(k, j, algebra).exact for j in range(m + 1))
-    return float(total)
+def blip_limit_moment(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> float:
+    """Limiting m-th moment of the blip measure about its mean k - 1: the hollow moment (1/k) E tr B^m."""
+    return float(hollow_moment_oracle(k, m, algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +284,9 @@ def trace_expansion_blip_moment(matrix: HermitianMatrix, k: int, cfg: BlipConfig
     an O(1) result, so it is taken in exact rational arithmetic.
     """
     dim = matrix.dim
-    cfg.check_dimension(dim, k)
-    if m < 0 or m > MAX_MOMENT:
-        raise ParameterError(f"need 0 <= m <= {MAX_MOMENT}, got {m}")
-    if dim > 16 or cfg.n > 3:
-        raise ParameterError(f"desk-scale evaluation requires dim <= 16 and n <= 3, got dim={dim}, n={cfg.n}")
+    _check_modulus(dim, k)
+    _check_max_m(m)
+    _check_desk_scale(dim, cfg.n)
     two_n = 2 * cfg.n
     traces = _exact_power_traces(matrix, 2 * two_n + m)
     base = Fraction(-dim, k)

@@ -49,15 +49,18 @@ class Spectrum:
     """Sorted real eigenvalues of a self-adjoint matrix."""
 
     eigenvalues: np.ndarray
-    source_dimension: int
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", vals)
-        if vals.ndim != 1 or vals.size != self.source_dimension:
-            raise ParameterError(f"expected {self.source_dimension} eigenvalues, got shape {vals.shape}")
+        if vals.ndim != 1:
+            raise ParameterError(f"expected a 1-d array of eigenvalues, got shape {vals.shape}")
         if vals.size > 1 and np.any(np.diff(vals) < 0):
             raise ParameterError("eigenvalues must be sorted ascending")
+
+    @property
+    def source_dimension(self) -> int:  # N: one eigenvalue per row of the matrix
+        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,16 @@ def default_average_count(dim: int) -> int:
     return max(8, math.ceil(dim ** 0.25))
 
 
+def _check_modulus(dim: int, k: int) -> None:
+    if not 1 <= k <= dim:
+        raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+
+
 @dataclass(frozen=True)
 class BlipConfig:
-    """Parameters of the blip measure for one matrix dimension."""
+    """The blip weight's half-degree n; the shift N/k comes from the spectrum."""
 
     n: int
-    shift: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -105,13 +112,8 @@ class BlipConfig:
 
     @classmethod
     def for_dimension(cls, dim: int, k: int, n: "int | None" = None) -> "BlipConfig":
-        if not 1 <= k <= dim:
-            raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-        return cls(n=n if n is not None else default_blip_half_degree(dim), shift=dim / k)
-
-    def check_dimension(self, dim: int, k: int) -> None:
-        if self.shift != dim / k:
-            raise ParameterError(f"blip config shift {self.shift} inconsistent with dim/k = {dim / k}")
+        _check_modulus(dim, k)
+        return cls(n=n if n is not None else default_blip_half_degree(dim))
 
 
 def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
@@ -150,7 +152,7 @@ def eigensolve(matrix: HermitianMatrix) -> Spectrum:
         raise NumericalDegeneracyError(
             f"eigenvalue sum {total} disagrees with trace {trace} (dim={matrix.dim}, algebra={matrix.algebra.value})"
         )
-    return Spectrum(vals, matrix.dim)
+    return Spectrum(vals)
 
 
 def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
@@ -212,10 +214,10 @@ def blip_measure(spectrum: Spectrum, k: int, cfg: BlipConfig) -> AtomicMeasure:
     mass is close to (but not exactly) 1.
     """
     n_dim = spectrum.source_dimension
-    cfg.check_dimension(n_dim, k)
+    _check_modulus(n_dim, k)
     lam = spectrum.eigenvalues
     weights = blip_weight(k * lam / n_dim, cfg.n) / k
-    return AtomicMeasure(lam - cfg.shift, weights)
+    return AtomicMeasure(lam - n_dim / k, weights)
 
 
 def average_measures(measures) -> AtomicMeasure:

@@ -78,8 +78,8 @@ def test_criterion_02_blip_gaussian_at_k2():
 
 
 def test_criterion_03_oracle_closed_forms():
-    second = all(hollow_moment_oracle(k, 2).exact == Fraction(k - 1) for k in range(2, 7))
-    odd = all(hollow_moment_oracle(k, m).exact == 0 for k in range(2, 7) for m in range(1, 10, 2))
+    second = all(hollow_moment_oracle(k, 2) == Fraction(k - 1) for k in range(2, 7))
+    odd = all(hollow_moment_oracle(k, m) == 0 for k in range(2, 7) for m in range(1, 10, 2))
     _verdict(3, "oracle closed forms", second and odd, "m2 = k-1 for k=2..6 exactly; odd m <= 9 exactly 0")
 
 
@@ -87,7 +87,7 @@ def test_criterion_04_oracle_matches_sampling():
     details = []
     ok = True
     for algebra, pairings in (("real", 10), ("quaternion", 7)):  # the hand-computed pairing counts
-        exact = hollow_moment_oracle(3, 4, algebra).exact
+        exact = hollow_moment_oracle(3, 4, algebra)
         sampled = hollow_moments(hollow_eigenvalues(HollowParams(3, algebra, 404), 10_000), 4)
         mean, stderr = sampled[4], sampled.standard_errors[4]
         distance = abs(mean - float(exact))

@@ -13,20 +13,20 @@ I = np.array([0.0, 1.0, 0.0, 0.0])
 
 def test_conjugate_transpose_real_symmetric_fixed_point():
     sym = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert np.array_equal(conjugate_transpose(sym), sym)
+    assert np.array_equal(conjugate_transpose(sym, "real"), sym)
 
 
 def test_conjugate_transpose_involution():
     rng = np.random.default_rng(3)
     cplx = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert np.array_equal(conjugate_transpose(conjugate_transpose(cplx)), cplx)
+    assert np.array_equal(conjugate_transpose(conjugate_transpose(cplx, "complex"), "complex"), cplx)
     quat = rng.standard_normal((4, 4, 4))
-    assert np.array_equal(conjugate_transpose(conjugate_transpose(quat)), quat)
+    assert np.array_equal(conjugate_transpose(conjugate_transpose(quat, "quaternion"), "quaternion"), quat)
 
 
 def test_conjugate_transpose_rejects_rectangular():
     with pytest.raises(DimensionError):
-        conjugate_transpose(np.zeros((2, 3)))
+        conjugate_transpose(np.zeros((2, 3)), "real")
 
 
 def test_quaternion_antisymmetric_imaginary_matrix_is_fixed():
@@ -34,14 +34,14 @@ def test_quaternion_antisymmetric_imaginary_matrix_is_fixed():
     data = np.zeros((2, 2, 4))
     data[0, 1] = I
     data[1, 0] = -I
-    assert np.array_equal(conjugate_transpose(data), data)
+    assert np.array_equal(conjugate_transpose(data, DivisionAlgebra.QUATERNION), data)
     HermitianMatrix(data, DivisionAlgebra.QUATERNION)
 
 
 def test_hermitian_accepts_pauli_like_matrix():
-    m = HermitianMatrix(np.array([[0, 1j], [-1j, 0]]))
+    m = HermitianMatrix(np.array([[0, 1j], [-1j, 0]]), "complex")
     assert m.algebra is DivisionAlgebra.COMPLEX
-    assert np.array_equal(conjugate_transpose(m.data), m.data)
+    assert np.array_equal(conjugate_transpose(m.data, m.algebra), m.data)
 
 
 def test_hermitian_rejects_corrupted_entry():

@@ -64,7 +64,7 @@ def test_split_exponent_validation():
 def test_weyl_zero_perturbation():
     rng = np.random.default_rng(0)
     h = random_hermitian(rng, 6, DivisionAlgebra.REAL)
-    zero = HermitianMatrix(np.zeros((6, 6)))
+    zero = HermitianMatrix(np.zeros((6, 6)), "real")
     result = weyl_check(h, zero)
     assert result.passed
     assert result.max_deviation == pytest.approx(0.0, abs=1e-10)
@@ -73,7 +73,7 @@ def test_weyl_zero_perturbation():
 def test_weyl_zero_base():
     rng = np.random.default_rng(1)
     p = random_hermitian(rng, 6, DivisionAlgebra.COMPLEX)
-    zero = HermitianMatrix(np.zeros((6, 6), dtype=complex))
+    zero = HermitianMatrix(np.zeros((6, 6)), "complex")
     result = weyl_check(zero, p)
     assert result.passed
 
@@ -102,7 +102,7 @@ def test_weyl_checkerboard_plus_indicator():
 
 def test_weyl_dimension_mismatch():
     with pytest.raises(ParameterError):
-        weyl_check(HermitianMatrix(np.eye(3)), HermitianMatrix(np.eye(4)))
+        weyl_check(HermitianMatrix(np.eye(3), "real"), HermitianMatrix(np.eye(4), "real"))
 
 
 def test_divergence_probe_with_stripe():

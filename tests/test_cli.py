@@ -280,6 +280,30 @@ def test_oracle_table_and_quaternion(tmp_path):
     assert all(set(r) == {"m", "value", "exact"} for r in payload["results"])
 
 
+# SHA-256 of oracle --k 3 --max-m 8: oracle.json, moments.csv and the printed lines before "wrote ...".
+_GOLDEN_ORACLE = {
+    "real": ("4107a9fef592ca5dd3a3c1f527726c9a8d5f631b256f36423debe2187ce5f9a0",
+             "bbfc2a6b35d68825d45efcae35eaf5621b8b5205593c8ec867560ae64359997d",
+             "7d9cda64882556e89db40c19438dbd2bbdc5eb56a97e6b383640aff18340575a"),
+    "complex": ("397bad38ff9b03cabc4a5ba178b3ee44b0aca1753eaa589e5d4ce0c26c88b787",
+                "b5fc3bf44a6e92de1c518da1183a701f20ea1a0b5f0ea927ddd1fca806937d39",
+                "d1cf4e3571617c54667bd648fd815b16a9e82fa49ac1a855de52dfc4c12ae3e6"),
+    "quaternion": ("bb418ce40d82fcde886c363bc9154584eb6af7ea04f4a505cdccd22e0d256a5f",
+                   "dd2c9222b43a2b961c4ce7914e91ab67531fcf1b42de940feecb96dfb905b353",
+                   "58f7cbbfc2b9e0096aaf654b3aeb466ba0a84aab5c3fe36226b464a7489bf0f9"),
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(_GOLDEN_ORACLE))
+def test_oracle_artifacts_are_pinned(tmp_path, capsys, algebra):
+    out = tmp_path / algebra
+    assert _run_cli(["oracle", "--k", "3", "--max-m", "8", "--algebra", algebra, "--out", out]) == 0
+    *lines, wrote = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote 3 files to {out}" and len(lines) == 9
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("oracle.json", "moments.csv"))
+    assert (*digests, hashlib.sha256("\n".join(lines).encode()).hexdigest()) == _GOLDEN_ORACLE[algebra]
+
+
 def test_verify_identities_passes(tmp_path):
     out = tmp_path / "ids"
     status = _run_cli(["verify-identities", "--max-m", "12", "--trials", "3", "--seed", "5", "--out", out])
@@ -394,6 +418,14 @@ def test_oracle_past_enumeration_budget_is_an_error(tmp_path, capsys):
 _REFUSED_RUNS = {
     "hollow-max-m": (["hollow", "--k", "2", "--max-m", "40"], "error: moment order cap is 32, got 40", False),
     "verify-split-no-trials": (["verify-split", "--trials", "0"], "error: trials must be positive, got 0", False),
+    "verify-split-exponent": (["verify-split", "--exponent", "2"], "error: exponent must lie in (0.5, 1), got 2.0",
+                              False),
+    "verify-split-nan-exponent": (["verify-split", "--exponent", "nan", "--algebra", "complex"],
+                                  "error: exponent must lie in (0.5, 1), got nan", False),
+    "verify-identities-N": (["verify-identities", "--N", "17"],
+                            "error: desk-scale evaluation requires dim <= 16 and n <= 3, got dim=17, n=2", False),
+    "verify-identities-n": (["verify-identities", "--n", "4"],
+                            "error: desk-scale evaluation requires dim <= 16 and n <= 3, got dim=8, n=4", False),
     "sample-no-trials": (["sample", "--trials", "0"], "error: trials must be positive, got 0", False),
     "bulk-no-trials": (["bulk", "--trials", "0"], "error: trials must be positive, got 0", False),
     "blip-no-g": (["blip", "--g", "0"], "error: g must be positive, got 0", False),
@@ -433,9 +465,13 @@ def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, recwa
 
         return draw
 
+    def refuse(params, trial):
+        raise AssertionError("sample_checkerboard drew before the refusal")
+
     if not drawn:
         for module, name in ((cli, "trial_spectra"), (cli, "hollow_eigenvalues"), (analysis, "hollow_eigenvalues")):
             monkeypatch.setattr(module, name, refuse_only(getattr(module, name)))
+        monkeypatch.setattr(cli, "sample_checkerboard", refuse)
     out = tmp_path / "x"
     assert _run_cli([*argv, "--out", out]) == 2
     captured = capsys.readouterr()

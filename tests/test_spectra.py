@@ -37,13 +37,13 @@ from helpers import random_hermitian
 
 
 def test_identity_spectrum():
-    spectrum = eigensolve(HermitianMatrix(np.eye(5)))
+    spectrum = eigensolve(HermitianMatrix(np.eye(5), "real"))
     assert np.allclose(spectrum.eigenvalues, np.ones(5))
 
 
 def test_two_by_two_offdiagonal_spectrum():
     b = 1.7
-    spectrum = eigensolve(HermitianMatrix(np.array([[0.0, b], [b, 0.0]])))
+    spectrum = eigensolve(HermitianMatrix(np.array([[0.0, b], [b, 0.0]]), "real"))
     assert np.allclose(spectrum.eigenvalues, [-b, b], atol=1e-14)
 
 
@@ -129,9 +129,9 @@ def test_failed_eigendecomposition_is_an_eigensolve_error(algebra, monkeypatch):
 
 
 def test_bulk_measure_atoms():
-    single = bulk_measure(Spectrum(np.zeros(1), 1))
+    single = bulk_measure(Spectrum(np.zeros(1)))
     assert single.locations.tolist() == [0.0] and single.weights.tolist() == [1.0]
-    pair = bulk_measure(Spectrum(np.array([-2.0, 2.0]), 2))
+    pair = bulk_measure(Spectrum(np.array([-2.0, 2.0])))
     assert np.allclose(pair.locations, [-math.sqrt(2), math.sqrt(2)])
     assert np.allclose(pair.weights, [0.5, 0.5])
     assert pair.total_mass == 1.0
@@ -158,7 +158,7 @@ def test_blip_measure_exact_atom_weights():
     # an eigenvalue exactly at N/k carries weight exactly 1/k; one at 0 carries 0
     dim, k = 8, 2
     cfg = BlipConfig.for_dimension(dim, k, n=3)
-    spectrum = Spectrum(np.array([0.0, 1.0, 3.0, 3.5, 3.9, 4.0, 4.0, 4.0]), dim)
+    spectrum = Spectrum(np.array([0.0, 1.0, 3.0, 3.5, 3.9, 4.0, 4.0, 4.0]))
     measure = blip_measure(spectrum, k, cfg)
     at_target = measure.locations == 0.0
     assert np.all(measure.weights[at_target] == 1.0 / k)
@@ -197,14 +197,6 @@ def test_averaged_blip_duplicates_keep_mass():
     assert two.total_mass == pytest.approx(one.total_mass, rel=1e-12)
 
 
-def test_averaged_blip_rejects_mixed_dimensions():
-    cfg = BlipConfig.for_dimension(8, 2)
-    a = sample_checkerboard(CheckerboardParams(dim=8, k=2, seed=0), 0)
-    b = sample_checkerboard(CheckerboardParams(dim=10, k=2, seed=0), 0)
-    with pytest.raises(ParameterError):
-        average_measures([blip_measure(eigensolve(m), 2, cfg) for m in (a, b)])
-
-
 def test_average_measures_rejects_empty_input():
     with pytest.raises(ParameterError):
         average_measures([])
@@ -222,10 +214,13 @@ def test_non_finite_spectrum_is_rejected(algebra):
             _eigenvalues(matrix.data[None], DivisionAlgebra.QUATERNION)
 
 
-def test_blip_config_dimension_check():
+def test_blip_shift_comes_from_the_spectrum():
+    # a config made for N = 8, k = 2 carries only n; the two eigenvalues are shifted by their own N/k = 2/1
     cfg = BlipConfig.for_dimension(8, 2)
-    with pytest.raises(ParameterError):
-        blip_measure(Spectrum(np.zeros(10), 10), 2, cfg)
+    assert blip_measure(Spectrum([0.0, 5.0]), 1, cfg).locations.tolist() == [-2.0, 3.0]
+    for k in (0, 3):
+        with pytest.raises(ParameterError, match=f"need 1 <= k <= dim, got k={k}, dim=2"):
+            blip_measure(Spectrum([0.0, 5.0]), k, cfg)
 
 
 def test_histogram_single_atom():
