@@ -42,7 +42,7 @@ from .moments import (
     hollow_moments,
     measure_moments,
     semicircle_moment,
-    trace_expansion_blip_moment,
+    trace_expansion_blip_moments,
 )
 from .analysis import (
     ComparisonReport,
@@ -84,7 +84,7 @@ __all__ = [
     "hollow_moments",
     "measure_moments",
     "semicircle_moment",
-    "trace_expansion_blip_moment",
+    "trace_expansion_blip_moments",
     "ComparisonReport",
     "RegimeSplit",
     "WeylResult",

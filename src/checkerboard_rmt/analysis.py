@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import DivisionAlgebra, HermitianMatrix
 from .ensembles import CheckerboardParams, HollowParams
 from .exceptions import AlgebraMismatchError, DimensionError, ParameterError, RegimeOverlapError, StatisticalPowerWarning
-from .moments import measure_moments
+from .moments import _check_max_m, measure_moments
 from .spectra import (
     AtomicMeasure,
     BlipConfig,
@@ -164,6 +164,7 @@ def bulk_divergence_probe(
     With the constant stripe present (w != 0) the even moments of order >= 4
     grow like N^(ell/2 - 1); with w = 0 they converge instead.
     """
+    _check_max_m(ell)  # before anything is drawn
     if ell < 4 or ell % 2:
         raise ParameterError(f"divergence shows only for even ell >= 4, got ell={ell}")
     sizes = tuple(int(s) for s in sizes)
@@ -197,8 +198,7 @@ def variance_decay_probe(k: int, ell: int, sizes, trials: int, seed: int = 0) ->
     The variance decays like 1/N^2; the fitted log-log slope should sit near -2
     and below -1.5 once Monte Carlo noise is accounted for.
     """
-    if ell < 0:
-        raise ParameterError(f"need ell >= 0, got {ell}")
+    _check_max_m(ell)  # before anything is drawn
     if trials < 20:
         warnings.warn(
             f"{trials} trials give little power for a variance estimate; use >= 20",
@@ -274,6 +274,7 @@ def compare_blip_to_hollow(
     samples are normalized to unit mass; distances are per-order absolute
     moment differences for m <= max_m plus a weighted two-sample KS statistic.
     """
+    _check_max_m(max_m)  # before the hollow batch is drawn
     algebra = DivisionAlgebra.parse(algebra)
     if blip_sample.locations.size == 0:
         raise ParameterError("empty blip sample")
@@ -315,6 +316,7 @@ def blip_moment_fluctuation_probe(k: int, m: int, sizes, trials: int, r: int = 2
 
     Returns the r-th central sample moment of the m-th blip moment at each size.
     """
+    _check_max_m(m)  # before anything is drawn
     if r < 1 or trials < 2:
         raise ParameterError(f"need r >= 1 and trials >= 2, got r={r}, trials={trials}")
     sizes = tuple(int(s) for s in sizes)

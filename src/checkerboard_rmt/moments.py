@@ -4,18 +4,17 @@ The centered limit of the blip measure's m-th moment equals the m-th spectral
 moment of the k x k hollow Gaussian ensemble, (1/k) E tr B^m.  That
 expectation is computed exactly, for real, complex and quaternion entries, by
 one walker over the closed index walks of tr B^m, labelled in order of first
-visit; quaternion walks run over the 2k x 2k complex embedding.  A per-algebra
-rule scores each walk by its Gaussian pairing count.  The per-matrix binomial
-trace expansion takes its traces of matrix powers in exact integer arithmetic,
-after scaling the dyadic float entries by a common power of two.  The
-sampling counterpart of the oracle, `hollow_moments`, averages the same
-traces over sampled hollow spectra.
+visit and memoized on edge-count states; quaternion walks run over the 2k x 2k
+complex embedding.  A per-algebra rule scores each walk by its pairing count.
+The per-matrix binomial trace expansion takes every order from one table of
+exact integer traces of matrix powers, after scaling the dyadic float entries
+by a common power of two.  The sampling counterpart of the oracle,
+`hollow_moments`, averages the same traces over sampled hollow spectra.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,7 @@ __all__ = [
     "alternating_binomial_sum",
     "hollow_moment_oracle",
     "blip_limit_moment",
-    "trace_expansion_blip_moment",
+    "trace_expansion_blip_moments",
 ]
 
 MAX_MOMENT = 32
@@ -193,24 +192,34 @@ def _exact_hollow_trace_moment(k: int, m: int, algebra: DivisionAlgebra) -> Frac
     each way).  Scores depend only on the walk's equality pattern, so blocks
     are labelled in order of first visit and each new label stands for the
     k - used unvisited indices.  Walks start and close at parity 0: both rows
-    of a diagonal block carry the same diagonal entry of B^m.
+    of a diagonal block carry the same diagonal entry of B^m.  The sum over a
+    walk's continuations depends only on its state (position, vertex, parity,
+    labels used and per-edge slot reads), so each state is walked once.
     """
     if m % 2:
         return Fraction(0)  # the deficits sum to m mod 2, so some edge stays unpaired
     steps, deficit, score = _WICK_RULES[algebra]
     closing = tuple(tuple(moves[:1] for moves in side) for side in steps)  # to parity 0, listed first
-    counts: dict = defaultdict(lambda: [0, 0, 0, 0])  # (low, high) -> reads per slot
+    width = 1 + max(slot for side in steps for moves in side for _, slot, _ in moves)
+    # one byte per slot (m <= 26) of each edge {low < high} among the min(k, m) labels a walk can reach,
+    # read through the view cells[high(high-1)/2 + low]; each state's key holds a copy of all the reads
+    reads = bytearray(min(k, m) * (min(k, m) - 1) // 2 * width)
+    cells = [memoryview(reads)[i : i + width] for i in range(0, len(reads), width)]
+    memo: dict = {}  # state -> sum over its continuations
 
     def walk(pos: int, prev: int, parity: int, used: int, short: int) -> int:
         remaining = m - pos
         if remaining == 0:
-            return math.prod(score(c) for c in counts.values())
+            return math.prod(score(c) for c in cells)
+        key = (pos, prev, parity, used, bytes(reads))  # short, the total deficit, follows from the reads
+        if key in memo:
+            return memo[key]
         acc = 0
         table = steps if remaining > 1 else closing
         for nxt in range(min(used + 1, k)) if remaining > 1 else (0,):  # the last step closes the walk
             if nxt == prev:
                 continue
-            c = counts[(prev, nxt) if prev < nxt else (nxt, prev)]
+            c = cells[nxt * (nxt - 1) // 2 + prev if prev < nxt else prev * (prev - 1) // 2 + nxt]
             for t, slot, sign in table[prev < nxt][parity]:
                 before = deficit(c)
                 c[slot] += 1
@@ -219,10 +228,13 @@ def _exact_hollow_trace_moment(k: int, m: int, algebra: DivisionAlgebra) -> Frac
                     branch = walk(pos + 1, nxt, t, used + (nxt == used), after)
                     acc += sign * (branch if nxt < used else (k - used) * branch)
                 c[slot] -= 1  # an unread edge has deficit 0 and scores 1
+        memo[key] = acc
         return acc
 
+    total = walk(0, 0, 0, 1, 0)
+    memo.clear()  # walk refers to itself, so without this the memo lives until the cycle collector runs
     # the unit entry variance E|q|^2 splits evenly over the parities' slot pairs
-    return k * walk(0, 0, 0, 1, 0) * Fraction(1, len(steps[0])) ** (m // 2)
+    return k * total * Fraction(1, len(steps[0])) ** (m // 2)
 
 
 def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> Fraction:
@@ -254,8 +266,9 @@ def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
 
     Quaternion matrices go through their complex embedding, which doubles the
     trace.  Floats are dyadic rationals, so one common factor 2^e turns the
-    real and imaginary parts into Python ints; the powers are then exact
-    integer matrix products.
+    real and imaginary parts into Python ints; the powers A^0..A^ceil(P/2) are
+    then exact integer matrix products, and tr A^p is the entrywise sum
+    sum_ij (A^ceil(p/2))_ij (A^floor(p/2))_ji, which takes no further product.
     """
     quaternion = matrix.algebra is DivisionAlgebra.QUATERNION
     grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
@@ -265,34 +278,40 @@ def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
         np.array([num << (e + 1 - den.bit_length()) for num, den in part], dtype=object).reshape(grid.shape)
         for part in ratios
     )
-    scale = 2 if quaternion else 1
-    traces = [Fraction(matrix.dim)]
-    power_re, power_im = re, im
-    for p in range(1, max_power + 1):
-        if p > 1:
-            power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re
-        traces.append(Fraction(int(np.trace(power_re)), scale << (e * p)))
+    powers = [(np.identity(len(grid), dtype=int).astype(object), np.zeros_like(re)), (re, im)]
+    while len(powers) <= (max_power + 1) // 2:
+        power_re, power_im = powers[-1]
+        powers.append((power_re @ re - power_im @ im, power_re @ im + power_im @ re))
+    traces = []
+    for p in range(max_power + 1):
+        (a_re, a_im), (b_re, b_im) = powers[(p + 1) // 2], powers[p // 2]
+        trace = (a_re * b_re.T).sum() - (a_im * b_im.T).sum()  # the real part of tr A^p
+        traces.append(Fraction(int(trace), (2 if quaternion else 1) << (e * p)))
     return traces
 
 
-def trace_expansion_blip_moment(matrix: HermitianMatrix, k: int, cfg: BlipConfig, m: int) -> float:
-    """m-th blip moment of one fixed matrix via the binomial trace expansion.
+def trace_expansion_blip_moments(matrix: HermitianMatrix, k: int, cfg: BlipConfig, max_m: int) -> list:
+    """Blip moments m = 0..max_m of one fixed matrix via the binomial trace expansion.
 
-    Algebraically identical to the directly weighted spectral moment
+    Algebraically identical to the directly weighted spectral moments
     sum f_n(k*lambda/N) (lambda - N/k)^m / k, but evaluated from traces of
-    matrix powers.  The alternating sum cancels terms of size (N/k)^m down to
-    an O(1) result, so it is taken in exact rational arithmetic.
+    matrix powers, one table for every order.  The alternating sum cancels
+    terms of size (N/k)^m down to an O(1) result, so it is taken in exact
+    rational arithmetic.
     """
     dim = matrix.dim
     _check_modulus(dim, k)
-    _check_max_m(m)
+    _check_max_m(max_m)
     _check_desk_scale(dim, cfg.n)
     two_n = 2 * cfg.n
-    traces = _exact_power_traces(matrix, 2 * two_n + m)
+    traces = _exact_power_traces(matrix, 2 * two_n + max_m)
     base = Fraction(-dim, k)
-    acc = Fraction(0)
-    for j in range(two_n + 1):
-        outer = math.comb(two_n, j)
-        for i in range(m + j + 1):
-            acc += outer * math.comb(m + j, i) * base ** (m - i) * traces[two_n + i]
-    return float(acc * Fraction(k, dim) ** two_n / k)
+    moments = []
+    for m in range(max_m + 1):
+        acc = Fraction(0)
+        for j in range(two_n + 1):
+            outer = math.comb(two_n, j)
+            for i in range(m + j + 1):
+                acc += outer * math.comb(m + j, i) * base ** (m - i) * traces[two_n + i]
+        moments.append(float(acc * Fraction(k, dim) ** two_n / k))
+    return moments

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import checkerboard_rmt.analysis as analysis
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix
 from checkerboard_rmt.analysis import (
     blip_moment_fluctuation_probe,
@@ -235,3 +236,23 @@ def test_probes_equal_serial_trial_blocks():
     fluctuation = blip_moment_fluctuation_probe(2, 2, sizes, trials=4, r=3, seed=5)
     expected = _serial_samples(2, sizes, 4, 5, 1.0, blip2)
     assert fluctuation.central_moments == tuple(float(np.mean((s - s.mean()) ** 3)) for s in expected)
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: bulk_divergence_probe(2, 40, (16, 24), trials=3),
+        lambda: variance_decay_probe(2, 40, (16, 24), trials=20),
+        lambda: blip_moment_fluctuation_probe(2, 40, (16, 24), trials=3),
+        lambda: compare_blip_to_hollow(AtomicMeasure(np.array([0.0]), np.array([1.0])), 2, hollow_trials=100, max_m=40),
+    ],
+    ids=["bulk-divergence", "variance-decay", "blip-fluctuation", "compare"],
+)
+def test_probes_refuse_a_bad_order_before_drawing(probe, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the moment order")
+
+    monkeypatch.setattr(analysis, "trial_spectra", no_draw)
+    monkeypatch.setattr(analysis, "hollow_eigenvalues", no_draw)
+    with pytest.raises(ParameterError, match="moment order cap is 32, got 40"):
+        probe()

@@ -1,15 +1,19 @@
 """Moment machinery: empirical moments, closed forms, and the exact oracles."""
 
+import itertools
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import EnumerationBudgetError, ParameterError
 from checkerboard_rmt.moments import (
+    ENUMERATION_BUDGET,
     _exact_power_traces,
     alternating_binomial_sum,
     average_trial_moments,
@@ -19,7 +23,7 @@ from checkerboard_rmt.moments import (
     hollow_moments,
     measure_moments,
     semicircle_moment,
-    trace_expansion_blip_moment,
+    trace_expansion_blip_moments,
 )
 from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, eigensolve, hollow_eigenvalues
 
@@ -149,6 +153,17 @@ def test_oracle_budget_guard():
     assert hollow_moment_oracle(2, 12, "quaternion") == Fraction(5040, 64)
 
 
+def test_oracle_closed_forms_at_large_k_on_the_budget_edge():
+    # k^m (or (2k)^m) walks equal the budget: the walker's state holds only the min(k, m)
+    # labels a walk can reach, so a large k costs no more than a small one
+    assert ENUMERATION_BUDGET == 10**8
+    for algebra, k in (("real", 10_000), ("complex", 10_000), ("quaternion", 5_000)):
+        assert hollow_moment_oracle(k, 2, algebra) == k - 1, algebra
+    assert hollow_moment_oracle(100, 4) == 99 * 199
+    assert hollow_moment_oracle(100, 4, "complex") == 2 * 99**2
+    assert hollow_moment_oracle(50, 4, "quaternion") == Fraction(49 * 195, 2)
+
+
 def test_oracle_quaternion_is_exact():
     assert hollow_moment_oracle(2, 4, "quaternion") == Fraction(3, 2)
 
@@ -197,14 +212,14 @@ def test_trace_expansion_mass_term():
     m = sample_checkerboard(params, 0)
     cfg = BlipConfig.for_dimension(6, 2, n=1)
     mass = blip_measure(eigensolve(m), 2, cfg).total_mass
-    assert trace_expansion_blip_moment(m, 2, cfg, 0) == pytest.approx(mass, rel=1e-12)
+    assert trace_expansion_blip_moments(m, 2, cfg, 0) == [pytest.approx(mass, rel=1e-12)]
 
 
 def test_trace_expansion_vanishes_on_indicator():
     # every nonzero eigenvalue of the indicator matrix sits exactly at N/k
     z = congruence_indicator_matrix(4, 2, 1.0)
     cfg = BlipConfig.for_dimension(4, 2, n=1)
-    assert trace_expansion_blip_moment(z, 2, cfg, 1) == 0.0
+    assert trace_expansion_blip_moments(z, 2, cfg, 1)[1] == 0.0
 
 
 @pytest.mark.parametrize("algebra", list(DivisionAlgebra))
@@ -214,18 +229,23 @@ def test_trace_expansion_matches_direct_moment(algebra):
     for trial in range(4):
         matrix = sample_checkerboard(params, trial)
         direct = measure_moments(blip_measure(eigensolve(matrix), 2, cfg), 2)
-        for m in (0, 1, 2):
-            expansion = trace_expansion_blip_moment(matrix, 2, cfg, m)
+        expansions = trace_expansion_blip_moments(matrix, 2, cfg, 2)
+        assert len(expansions) == 3
+        for m, expansion in enumerate(expansions):
             assert abs(expansion - direct[m]) <= 1e-9 * max(1.0, abs(direct[m]))
+
+
+def _dyadic_spread(algebra):
+    """A 5 x 5 checkerboard matrix, congruent by diag(2^a) so its entries spread over 2^-60 .. 2^20."""
+    a = np.array([-30, -20, -10, 0, 10])
+    scale = np.ldexp(1.0, np.add.outer(a, a))
+    data = sample_checkerboard(CheckerboardParams(dim=5, k=2, w=1.0, algebra=algebra, seed=41), 0).data
+    return data * (scale[..., None] if algebra is DivisionAlgebra.QUATERNION else scale)
 
 
 @pytest.mark.parametrize("algebra", list(DivisionAlgebra))
 def test_exact_power_traces_scale_dyadically(algebra):
-    # congruence by diag(2^a) spreads the entries over 2^-60 .. 2^20
-    a = np.array([-30, -20, -10, 0, 10])
-    scale = np.ldexp(1.0, np.add.outer(a, a))
-    data = sample_checkerboard(CheckerboardParams(dim=5, k=2, w=1.0, algebra=algebra, seed=41), 0).data
-    data = data * (scale[..., None] if algebra is DivisionAlgebra.QUATERNION else scale)
+    data = _dyadic_spread(algebra)
     exponents = np.frexp(np.abs(data[data != 0]))[1]
     assert exponents.max() - exponents.min() >= 40
     traces = _exact_power_traces(HermitianMatrix(data, algebra), 8)
@@ -244,4 +264,91 @@ def test_trace_expansion_rejects_large_inputs():
     m = sample_checkerboard(params, 0)
     cfg = BlipConfig.for_dimension(20, 2, n=2)
     with pytest.raises(ParameterError):
-        trace_expansion_blip_moment(m, 2, cfg, 2)
+        trace_expansion_blip_moments(m, 2, cfg, 2)
+
+
+def _power_chain_traces(matrix, max_power):
+    """[tr A^0, ..., tr A^max_power] from the plain chain A, A^2, A^3, ... of Fraction matrices."""
+    quaternion = matrix.algebra is DivisionAlgebra.QUATERNION
+    grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
+    re, im = (np.array([[Fraction(float(x)) for x in row] for row in part], dtype=object) for part in (grid.real, grid.imag))
+    traces = [Fraction(matrix.dim)]
+    power_re, power_im = re, im
+    for p in range(1, max_power + 1):
+        if p > 1:
+            power_re, power_im = power_re @ re - power_im @ im, power_re @ im + power_im @ re
+        assert sum(power_im.diagonal()) == 0  # a self-adjoint power has a real trace
+        traces.append(sum(power_re.diagonal()) / (2 if quaternion else 1))
+    return traces
+
+
+@pytest.mark.parametrize("algebra", list(DivisionAlgebra))
+@pytest.mark.parametrize("case", ["w=1", "w=0", "dyadic-spread"])
+def test_exact_power_traces_match_a_power_chain(algebra, case):
+    if case == "dyadic-spread":
+        matrix = HermitianMatrix(_dyadic_spread(algebra), algebra)
+    else:
+        w = 1.0 if case == "w=1" else 0.0
+        matrix = sample_checkerboard(CheckerboardParams(dim=6, k=3, w=w, algebra=algebra, seed=43), 0)
+    assert _exact_power_traces(matrix, 12) == _power_chain_traces(matrix, 12)
+
+
+def _brute_force_oracle(k, m, algebra):
+    """(1/k) E tr B^m as a plain sum over all k^m index walks i_0 -> ... -> i_{m-1} -> i_0.
+
+    A real walk scores the product over edges {i, j} of (c-1)!!, c the edge's
+    reads (0 for odd c); a complex walk scores the product of f! over edges read
+    f times low-to-high and f times high-to-low (0 if the two counts differ).
+    A step i -> i reads the hollow diagonal and scores 0.
+    """
+    total = 0
+    for walk in itertools.product(range(k), repeat=m):
+        steps = list(zip(walk, walk[1:] + walk[:1]))
+        if any(i == j for i, j in steps):
+            continue
+        if algebra == "real":
+            reads = Counter((min(i, j), max(i, j)) for i, j in steps)
+            total += math.prod(0 if c % 2 else math.prod(range(c - 1, 0, -2)) for c in reads.values())
+        else:
+            forward = Counter((i, j) for i, j in steps if i < j)
+            backward = Counter((j, i) for i, j in steps if i > j)
+            edges = forward.keys() | backward.keys()
+            total += math.prod(math.factorial(forward[e]) if forward[e] == backward[e] else 0 for e in edges)
+    return Fraction(total, k)
+
+
+@pytest.mark.parametrize("algebra", ["real", "complex"])
+def test_oracle_matches_a_brute_force_walk_sum(algebra):
+    for k in range(1, 5):
+        for m in range(1, 9):
+            assert hollow_moment_oracle(k, m, algebra) == _brute_force_oracle(k, m, algebra), (k, m)
+
+
+# every even order up to the enumeration budget's edge, k^m <= 10^8, at k = 3..7
+_ORACLE_PINS = {
+    "real": {
+        3: (2, 10, 74, 726, 8910, 131706, 2282490, 45445590),
+        4: (3, 21, 207, 2589, 39255, 701097),
+        5: (4, 36, 444, 6756, 121644),
+        6: (5, 55, 815, 14625, 305085),
+        7: (6, 78, 1350, 27930),
+    },
+    "complex": {
+        3: (2, 8, 42, 272, 2100, 18864, 193536, 2234880),
+        4: (3, 18, 138, 1248, 12960, 152112),
+        5: (4, 32, 324, 3792, 49800),
+        6: (5, 50, 630, 9080, 144840),
+        7: (6, 72, 1086, 18624),
+    },
+}
+
+
+@pytest.mark.parametrize("algebra", ["real", "complex"])
+def test_oracle_pins_up_to_the_budget_edge(algebra):
+    for k, values in _ORACLE_PINS[algebra].items():
+        for m, expected in zip(range(2, 2 * len(values) + 1, 2), values):
+            assert hollow_moment_oracle(k, m, algebra) == expected, (k, m)
+        past = 2 * len(values) + 2  # the first even order past the budget is refused, with the same text
+        message = f"enumeration of {k**past} index walks exceeds the 100000000 budget; "
+        with pytest.raises(EnumerationBudgetError, match=re.escape(message + "sample instead with the hollow command")):
+            hollow_moment_oracle(k, past, algebra)
