@@ -37,7 +37,6 @@ from .moments import (
     MomentVector,
     alternating_binomial_sum,
     average_trial_moments,
-    blip_limit_moment,
     hollow_moment_oracle,
     hollow_moments,
     measure_moments,
@@ -79,7 +78,6 @@ __all__ = [
     "MomentVector",
     "alternating_binomial_sum",
     "average_trial_moments",
-    "blip_limit_moment",
     "hollow_moment_oracle",
     "hollow_moments",
     "measure_moments",

@@ -1,11 +1,13 @@
 """Deterministic trial-level worker pool on forked processes.
 
 Trials carry their own counter-based random streams, so results only depend on
-the trial index.  `parallel_map` splits its items into one contiguous block per
+the trial index.  `parallel_iter` splits its items into one contiguous block per
 worker, forks a child for every block but the first, and solves the first block
 itself.  A child inherits the function and the items, so nothing is pickled on
-the way in; it sends back its pickled results, or its exception, over a pipe.
-The result keeps the input order, and the worker count never changes it.
+the way in.  It pickles every result before it sends anything, then streams a
+status header (or its exception) and one pickle per result over a pipe, which
+the parent reads one result at a time.  The results keep the input order, and
+the worker count never changes them; `parallel_map` is their list.
 
 The worker count is CHECKERBOARD_THREADS, by default os.cpu_count() divided by
 the BLAS threads each process runs (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
@@ -20,12 +22,12 @@ import signal
 
 from .exceptions import ParameterError
 
-__all__ = ["worker_count", "contiguous_blocks", "parallel_map"]
+__all__ = ["worker_count", "contiguous_blocks", "parallel_iter", "parallel_map"]
 
 _ENV_VAR = "CHECKERBOARD_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-_mapping = False  # inside a parallel_map, in the parent's own block or in a child: nested maps run serially
+_mapping = False  # inside a mapped call, in the parent's own block or in a child: nested maps run serially
 
 
 def _blas_threads() -> int:
@@ -48,33 +50,50 @@ def worker_count() -> int:
 
 
 def _run_child(fn, block, write_fd: int) -> None:
-    """Map `fn` over `block`, send the pickled outcome down the pipe and exit; never returns."""
+    """Map `fn` over `block`, send a status header and the pickled results down the pipe and exit; never returns.
+
+    Every result is pickled before anything is sent, so a result that cannot
+    be pickled, like an exception of `fn`, makes the header an error.
+    """
+    global _mapping
+    _mapping = True
     status = 1
     try:
         try:
-            outcome = (True, [fn(item) for item in block])
+            frames = [pickle.dumps((True, None))]
+            for item in block:
+                result = fn(item)
+                try:
+                    frames.append(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                except Exception as exc:
+                    raise RuntimeError(f"worker result could not be pickled: {exc!r}") from None
         except BaseException as exc:
-            outcome = (False, exc)
-        try:
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            data = pickle.dumps((False, RuntimeError(f"worker result could not be pickled: {exc!r}")))
+            try:
+                frames = [pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)]
+            except Exception as err:
+                frames = [pickle.dumps((False, RuntimeError(f"worker result could not be pickled: {err!r}")))]
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(data)
+            pipe.writelines(frames)
         status = 0
     finally:
         os._exit(status)
 
 
-def _unpickle(pid: int, data: bytes) -> list:
-    """The results a child sent; a child's exception is raised here."""
+def _load(pid: int, pipe):
+    """The next pickle a child sent."""
     try:
-        ok, value = pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off pickle
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # nothing more, or a cut-off pickle
         raise RuntimeError(f"worker process {pid} ended without sending its results") from None
+
+
+def _receive(pid: int, pipe, count: int):
+    """The `count` results a child streams, unpickled one at a time; a child's exception is raised here."""
+    ok, error = _load(pid, pipe)
     if not ok:
-        raise value
-    return value
+        raise error
+    for _ in range(count):
+        yield _load(pid, pipe)
 
 
 def contiguous_blocks(items) -> list:
@@ -87,14 +106,20 @@ def contiguous_blocks(items) -> list:
     return [items[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def parallel_map(fn, items) -> list:
-    """Map preserving order; runs a plain loop for one worker and inside another map."""
+def parallel_iter(fn, items):
+    """`fn` over `items`, in order, as an iterator; a plain loop for one worker and inside another map.
+
+    The children are forked at the first `next`.  The parent's own block comes
+    first, each result as it is solved, then each child's results, read off its
+    pipe one at a time.  Closing the iterator, or dropping it, ends and reaps
+    every child.
+    """
     global _mapping
     blocks = contiguous_blocks(items)
     if len(blocks) == 1:
-        return [fn(item) for item in blocks[0]]
-    children = []  # (pid, read end of its pipe)
-    _mapping = True
+        yield from map(fn, blocks[0])
+        return
+    children = []  # (pid, read end of its pipe, its item count)
     try:
         for block in blocks[1:]:
             read_fd, write_fd = os.pipe()
@@ -103,14 +128,23 @@ def parallel_map(fn, items) -> list:
                 os.close(read_fd)
                 _run_child(fn, block, write_fd)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [fn(item) for item in blocks[0]]
-        for pid, pipe in children:
-            results.extend(_unpickle(pid, pipe.read()))
-        return results
+            children.append((pid, os.fdopen(read_fd, "rb"), len(block)))
+        for item in blocks[0]:
+            _mapping = True  # only while `fn` runs: the consumer's own code between results is not inside a map
+            try:
+                result = fn(item)
+            finally:
+                _mapping = False
+            yield result
+        for pid, pipe, count in children:
+            yield from _receive(pid, pipe, count)
     finally:
-        _mapping = False
-        for pid, pipe in children:
+        for pid, pipe, _ in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # no-op on a child that has exited: it waits, unreaped, until here
             os.waitpid(pid, 0)
+
+
+def parallel_map(fn, items) -> list:
+    """The list of `parallel_iter(fn, items)`."""
+    return list(parallel_iter(fn, items))

@@ -371,7 +371,7 @@ def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     _check_bins(config.bins)
     eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=config.algebra, seed=config.seed), config.trials)
     moments = hollow_moments(eigs, config.max_m)
-    measure = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
+    measure = AtomicMeasure(eigs.ravel(), np.broadcast_to(1.0 / eigs.size, eigs.size))  # one weight, never copied
     _eigenvalue_table(artifacts, eigs, config.k)
     artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import parallel_iter
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK
 from .exceptions import EnumerationBudgetError, ParameterError
@@ -37,12 +37,12 @@ __all__ = [
     "semicircle_moment",
     "alternating_binomial_sum",
     "hollow_moment_oracle",
-    "blip_limit_moment",
     "trace_expansion_blip_moments",
 ]
 
 MAX_MOMENT = 32
 ENUMERATION_BUDGET = 10**8
+_TRIAL_BLOCK_ROWS = 1_024
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,33 @@ def _check_desk_scale(dim: int, n: int) -> None:
         raise ParameterError(f"desk-scale evaluation requires dim <= 16 and n <= 3, got dim={dim}, n={n}")
 
 
+def _column_sum(table: np.ndarray, f) -> np.ndarray:
+    """The column sums of `f(table)`, taking `f` of _TRIAL_BLOCK_ROWS rows at a time.
+
+    numpy sums axis 0 of a C-ordered table of two or more columns row after
+    row, so carrying each block's sum in as the first row of the next adds the
+    same numbers in the same order.  One column it sums pairwise, so that
+    table is one block.
+    """
+    rows = _TRIAL_BLOCK_ROWS if table.shape[1] > 1 else len(table)
+    total = f(table[:rows]).sum(axis=0)
+    for start in range(rows, len(table), rows):
+        total = np.vstack([total, f(table[start : start + rows])]).sum(axis=0)
+    return total
+
+
 def _trial_mean(table: np.ndarray) -> MomentVector:
-    """Mean of a (trials, orders) table, with standard errors across its rows (None for one row)."""
-    stderr = table.std(axis=0, ddof=1) / math.sqrt(len(table)) if len(table) > 1 else None
-    return MomentVector(table.mean(axis=0), stderr)
+    """Mean of a (trials, orders) table, with standard errors across its rows (None for one row).
+
+    The bits are those of `table.mean(axis=0)` and `table.std(axis=0, ddof=1) / sqrt(trials)`,
+    but no table-sized temporary is made.
+    """
+    trials = len(table)
+    mean = _column_sum(table, lambda block: block) / trials
+    if trials == 1:
+        return MomentVector(mean)
+    squares = _column_sum(table, lambda block: np.square(block - mean))
+    return MomentVector(mean, np.sqrt(squares / (trials - 1)) / math.sqrt(trials))
 
 
 def measure_moments(measure: AtomicMeasure, max_m: int, center: "float | None" = None) -> MomentVector:
@@ -99,7 +122,8 @@ def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
 
     `eigs` has one row of k eigenvalues per trial, as `hollow_eigenvalues`
     returns them; the traces are taken a chunk of trials at a time on the
-    trial pool.  Standard errors are across trials, None for one trial.
+    trial pool, into one table.  Standard errors are across trials, None for
+    one trial.
     """
     _check_max_m(max_m)
     trials, k = eigs.shape
@@ -110,7 +134,11 @@ def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
     def traces(start: int) -> np.ndarray:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
         return (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / k
 
-    return _trial_mean(np.concatenate(parallel_map(traces, range(0, trials, BATCH_CHUNK))))
+    table = np.empty((trials, max_m + 1))
+    starts = range(0, trials, BATCH_CHUNK)
+    for start, chunk in zip(starts, parallel_iter(traces, starts)):
+        table[start : start + BATCH_CHUNK] = chunk
+    return _trial_mean(table)
 
 
 def catalan(n: int) -> int:
@@ -251,14 +279,17 @@ def hollow_moment_oracle(k: int, m: int, algebra: "DivisionAlgebra | str" = Divi
     return _exact_hollow_trace_moment(k, m, algebra) / k
 
 
-def blip_limit_moment(k: int, m: int, algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL) -> float:
-    """Limiting m-th moment of the blip measure about its mean k - 1: the hollow moment (1/k) E tr B^m."""
-    return float(hollow_moment_oracle(k, m, algebra))
-
-
 # ---------------------------------------------------------------------------
 # Exact per-matrix evaluation of the binomial trace expansion.
 # ---------------------------------------------------------------------------
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The product of two exact matrices, each its (real, imaginary) parts or, when real, (real,) alone."""
+    if len(a) == 1:
+        return (a[0] @ b[0],)
+    (a_re, a_im), (b_re, b_im) = a, b
+    return (a_re @ b_re - a_im @ b_im, a_re @ b_im + a_im @ b_re)
 
 
 def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
@@ -266,26 +297,30 @@ def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
 
     Quaternion matrices go through their complex embedding, which doubles the
     trace.  Floats are dyadic rationals, so one common factor 2^e turns the
-    real and imaginary parts into Python ints; the powers A^0..A^ceil(P/2) are
-    then exact integer matrix products, and tr A^p is the entrywise sum
+    real and imaginary parts (a real grid has no imaginary part to carry)
+    into Python ints; the powers A^0..A^ceil(P/2) are then exact integer
+    matrix products, and tr A^p is the real part of the entrywise sum
     sum_ij (A^ceil(p/2))_ij (A^floor(p/2))_ji, which takes no further product.
     """
     quaternion = matrix.algebra is DivisionAlgebra.QUATERNION
     grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
-    ratios = [[x.as_integer_ratio() for x in part.ravel().tolist()] for part in (grid.real, grid.imag)]
+    ratios = [
+        [x.as_integer_ratio() for x in part.ravel().tolist()]
+        for part in ((grid.real, grid.imag) if np.iscomplexobj(grid) else (grid,))
+    ]
     e = max(den.bit_length() - 1 for part in ratios for _, den in part)
-    re, im = (
+    base = tuple(
         np.array([num << (e + 1 - den.bit_length()) for num, den in part], dtype=object).reshape(grid.shape)
         for part in ratios
     )
-    powers = [(np.identity(len(grid), dtype=int).astype(object), np.zeros_like(re)), (re, im)]
+    identity = np.identity(len(grid), dtype=int).astype(object)
+    powers = [(identity, *(np.zeros_like(identity) for _ in base[1:])), base]
     while len(powers) <= (max_power + 1) // 2:
-        power_re, power_im = powers[-1]
-        powers.append((power_re @ re - power_im @ im, power_re @ im + power_im @ re))
+        powers.append(_product(powers[-1], base))
     traces = []
     for p in range(max_power + 1):
-        (a_re, a_im), (b_re, b_im) = powers[(p + 1) // 2], powers[p // 2]
-        trace = (a_re * b_re.T).sum() - (a_im * b_im.T).sum()  # the real part of tr A^p
+        a, b = powers[(p + 1) // 2], powers[p // 2]
+        trace = (a[0] * b[0].T).sum() - sum((x * y.T).sum() for x, y in zip(a[1:], b[1:]))  # real part of tr A^p
         traces.append(Fraction(int(trace), (2 if quaternion else 1) << (e * p)))
     return traces
 

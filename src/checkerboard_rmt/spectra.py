@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import parallel_iter, parallel_map
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
@@ -42,6 +42,7 @@ __all__ = [
 
 _KRAMERS_RTOL = 1e-8
 _TRACE_RTOL = 1e-8
+_HISTOGRAM_BLOCK = 65_536  # numpy's np.histogram block
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,9 @@ def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
     """Eigenvalues of the first `trials` matrices of a hollow batch, shape (trials, k).
 
     Each `sample_hollow_chunk` is drawn, assembled and solved as one item of
-    the trial pool, so the batch never exists whole. Every matrix is solved on
-    its own, so the result does not depend on the workers.
+    the trial pool, so the batch never exists whole, and its eigenvalues go
+    into the result as they arrive. Every matrix is solved on its own, so the
+    result does not depend on the workers.
     """
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
@@ -169,7 +171,10 @@ def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
         size = min(BATCH_CHUNK, trials - index * BATCH_CHUNK)
         return _eigenvalues(sample_hollow_chunk(params, index, size), params.algebra)
 
-    return np.concatenate(parallel_map(solve, range(-(-trials // BATCH_CHUNK))))
+    eigs = np.empty((trials, params.k))
+    for index, chunk in enumerate(parallel_iter(solve, range(-(-trials // BATCH_CHUNK)))):
+        eigs[index * BATCH_CHUNK : (index + 1) * BATCH_CHUNK] = chunk
+    return eigs
 
 
 def trial_spectra(params: CheckerboardParams, trials: range) -> list:
@@ -262,7 +267,9 @@ def histogram(measure: AtomicMeasure, bins: int, value_range: "tuple[float, floa
     """Accumulate atom weights into equal-width bins, rescaled to total mass.
 
     The default range spans the atoms carrying more than 1e-6 of the total
-    mass, padded by 5%.
+    mass, padded by 5%.  The atoms are binned _HISTOGRAM_BLOCK at a time,
+    numpy's own block, so every bin adds its weights in the order one
+    `np.histogram` call does, and broadcast weights are never copied whole.
     """
     _check_bins(bins)
     total = measure.total_mass
@@ -279,7 +286,12 @@ def histogram(measure: AtomicMeasure, bins: int, value_range: "tuple[float, floa
     lo, hi = float(value_range[0]), float(value_range[1])
     if lo >= hi:
         raise ParameterError(f"empty histogram range [{lo}, {hi})")
-    counts, edges = np.histogram(measure.locations, bins=bins, range=(lo, hi), weights=measure.weights)
+    locations, weights = measure.locations, measure.weights
+    edges = np.histogram_bin_edges(locations[:0], bins, (lo, hi))
+    counts = np.zeros(bins)
+    for start in range(0, locations.size, _HISTOGRAM_BLOCK):
+        stop = start + _HISTOGRAM_BLOCK
+        counts += np.histogram(locations[start:stop], bins=bins, range=(lo, hi), weights=weights[start:stop])[0]
     included = counts.sum()
     width = np.diff(edges)
     density = counts / width

@@ -19,7 +19,6 @@ from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congrue
 from checkerboard_rmt.moments import (
     alternating_binomial_sum,
     average_trial_moments,
-    blip_limit_moment,
     hollow_moment_oracle,
     hollow_moments,
     measure_moments,
@@ -163,7 +162,7 @@ def test_criterion_10_blip_ordering_across_algebras():
     details = []
     ok = True
     for algebra, seed in (("real", 4), ("complex", 4), ("quaternion", 1)):
-        target = blip_limit_moment(2, 4, algebra)  # 3, 2 and 3/2
+        target = float(hollow_moment_oracle(2, 4, algebra))  # 3, 2 and 3/2
         m4 = _blip_moments(seed=seed, algebra=algebra)[4]
         ok = ok and abs(m4 - target) <= 0.5
         details.append(f"{algebra} m4={m4:.3f} (target {target} +/- 0.5)")

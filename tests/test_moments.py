@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -15,9 +16,9 @@ from checkerboard_rmt.exceptions import EnumerationBudgetError, ParameterError
 from checkerboard_rmt.moments import (
     ENUMERATION_BUDGET,
     _exact_power_traces,
+    _trial_mean,
     alternating_binomial_sum,
     average_trial_moments,
-    blip_limit_moment,
     catalan,
     hollow_moment_oracle,
     hollow_moments,
@@ -191,6 +192,32 @@ def test_hollow_moments_average_the_trace_powers():
         hollow_moments(eigs, 33)
 
 
+@pytest.mark.parametrize("columns", [1, 7])
+@pytest.mark.parametrize("rows", [1, 2, 1_024, 1_025, 70_000])
+def test_trial_mean_has_the_bits_of_numpy(rows, columns):
+    table = np.random.default_rng(rows).standard_normal((rows, columns)) * 10.0 ** np.arange(-3, columns - 3)
+    mv = _trial_mean(table)
+    assert mv.values.tobytes() == table.mean(axis=0).tobytes()
+    if rows == 1:
+        assert mv.standard_errors is None
+    else:
+        assert mv.standard_errors.tobytes() == (table.std(axis=0, ddof=1) / math.sqrt(rows)).tobytes()
+
+
+def test_hollow_moments_hold_one_table(monkeypatch):
+    # the per-chunk traces go into one (trials, max_m + 1) table, and the standard errors make no copy of it
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
+    eigs = hollow_eigenvalues(HollowParams(4, seed=7), 200_000)
+    tracemalloc.start()
+    try:
+        mv = hollow_moments(eigs, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mv.values.shape == (7,)
+    assert peak < 1.25 * 200_000 * 7 * 8
+
+
 def test_gaussian_domination_bound():
     for k in range(2, 5):
         for m in range(1, 5):
@@ -200,11 +227,11 @@ def test_gaussian_domination_bound():
 
 def test_blip_limit_moments():
     for k in (2, 3, 4, 5):
-        assert blip_limit_moment(k, 2) == pytest.approx(k - 1)
-    assert blip_limit_moment(2, 2) == pytest.approx(1.0)
-    assert blip_limit_moment(2, 4) == pytest.approx(3.0)
-    assert blip_limit_moment(2, 4, "complex") == pytest.approx(2.0)
-    assert blip_limit_moment(2, 4, "quaternion") == 1.5
+        assert float(hollow_moment_oracle(k, 2)) == pytest.approx(k - 1)
+    assert float(hollow_moment_oracle(2, 2)) == pytest.approx(1.0)
+    assert float(hollow_moment_oracle(2, 4)) == pytest.approx(3.0)
+    assert float(hollow_moment_oracle(2, 4, "complex")) == pytest.approx(2.0)
+    assert float(hollow_moment_oracle(2, 4, "quaternion")) == 1.5
 
 
 def test_trace_expansion_mass_term():

@@ -1,4 +1,4 @@
-"""The forked trial pool: order, errors, dead workers, cleanup and the default worker count."""
+"""The forked trial pool: order, errors, dead workers, streamed results, cleanup and the default worker count."""
 
 import os
 import signal
@@ -8,7 +8,7 @@ import time
 import pytest
 
 from checkerboard_rmt import _parallel, spectra
-from checkerboard_rmt._parallel import parallel_map, worker_count
+from checkerboard_rmt._parallel import parallel_iter, parallel_map, worker_count
 from checkerboard_rmt.cli import main
 from checkerboard_rmt.exceptions import NumericalDegeneracyError
 
@@ -90,6 +90,38 @@ def test_a_worker_that_dies_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError, match="ended without sending its results"):
         parallel_map(fn, range(4))
     _assert_no_children()
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_a_result_that_cannot_be_pickled_is_an_error(threads, monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
+    lock = threading.Lock()
+    with pytest.raises(RuntimeError, match="worker result could not be pickled"):
+        parallel_map(lambda x: lock if x == 3 else x, range(4))  # item 3 is in the last child's block
+    _assert_no_children()
+
+
+def test_a_worker_that_dies_midstream_is_an_error(monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "2")
+    # each result is larger than a pipe's buffer, so the child's later results wait on the pipe
+    results = parallel_iter(lambda x: (os.getpid(), bytes(1 << 20)), range(6))
+    parent = {next(results)[0] for _ in range(3)}
+    pid, _ = next(results)  # the child's first result
+    assert parent == {os.getpid()} and pid != os.getpid()
+    os.kill(pid, signal.SIGKILL)
+    with pytest.raises(RuntimeError, match=f"worker process {pid} ended without sending its results"):
+        list(results)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("taken", [0, 1, 5])  # before the first fork, in the parent's block, in a child's stream
+def test_an_abandoned_iterator_leaves_no_child(taken, monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "3")
+    results = parallel_iter(lambda x: x * x, range(9))
+    assert [next(results) for _ in range(taken)] == [x * x for x in range(taken)]
+    del results
+    _assert_no_children()
+    assert _parallel._mapping is False
 
 
 def test_error_in_the_parents_block_ends_the_workers(monkeypatch):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from checkerboard_rmt import spectra
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from checkerboard_rmt.ensembles import (
     BATCH_CHUNK,
@@ -100,6 +101,19 @@ def test_hollow_eigenvalues_hold_one_chunk_of_draws(monkeypatch):
         tracemalloc.stop()
     assert eigs.shape == (32768, 16)
     assert peak < 0.2 * full_draw
+
+
+def test_hollow_eigenvalues_are_held_once(monkeypatch):
+    # each chunk's eigenvalues go into the result as they arrive: no list of chunks, no concatenated copy
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
+    tracemalloc.start()
+    try:
+        eigs = hollow_eigenvalues(HollowParams(4, seed=7), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eigs.shape == (200_000, 4)
+    assert peak < 1.25 * eigs.nbytes
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -242,6 +256,20 @@ def test_histogram_integrates_to_total_mass():
     table = histogram(measure, 37)
     integral = float(np.sum(table.density * (table.bin_hi - table.bin_lo)))
     assert integral == pytest.approx(measure.total_mass, rel=1e-9)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_histogram_blocks_equal_one_numpy_call(uniform, monkeypatch):
+    # four blocks of atoms, the last one ragged, some atoms outside the range
+    rng = np.random.default_rng(3)
+    n = 3 * spectra._HISTOGRAM_BLOCK + 1_000
+    locations = 3.0 * rng.standard_normal(n)
+    weights = np.full(n, 1.0 / n) if uniform else rng.random(n)
+    blocked = histogram(AtomicMeasure(locations, np.broadcast_to(1.0 / n, n) if uniform else weights), 37, (-4.0, 5.0))
+    monkeypatch.setattr(spectra, "_HISTOGRAM_BLOCK", n)  # one np.histogram call over every atom
+    whole = histogram(AtomicMeasure(locations, weights), 37, (-4.0, 5.0))
+    assert blocked.bin_edges.tobytes() == whole.bin_edges.tobytes()
+    assert blocked.density.tobytes() == whole.density.tobytes()
 
 
 def test_histogram_rejects_bad_range():
