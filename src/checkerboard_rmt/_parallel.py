@@ -1,13 +1,13 @@
 """Deterministic trial-level worker pool on forked processes.
 
 Trials carry their own counter-based random streams, so results only depend on
-the trial index.  `parallel_iter` splits its items into one contiguous block per
-worker, forks a child for every block but the first, and solves the first block
+the trial index.  `parallel_map` splits its items into one contiguous block per
+worker, forks a child for every block but the first, and runs the first block
 itself.  A child inherits the function and the items, so nothing is pickled on
-the way in.  It pickles every result before it sends anything, then streams a
-status header (or its exception) and one pickle per result over a pipe, which
-the parent reads one result at a time.  The results keep the input order, and
-the worker count never changes them; `parallel_map` is their list.
+the way in, and nothing comes back but its exception: `fn` is called for its
+effects, and writes its results into an array from `shared_empty`, which the
+children share with the parent, or into a file.  Every item writes its own
+rows, so the worker count never changes what is written.
 
 The worker count is CHECKERBOARD_THREADS, by default os.cpu_count() divided by
 the BLAS threads each process runs (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
@@ -16,13 +16,16 @@ else one per core): every forked child starts its own BLAS thread pool.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import signal
 
+import numpy as np
+
 from .exceptions import ParameterError
 
-__all__ = ["worker_count", "contiguous_blocks", "parallel_iter", "parallel_map"]
+__all__ = ["worker_count", "contiguous_blocks", "shared_empty", "parallel_map"]
 
 _ENV_VAR = "CHECKERBOARD_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -49,51 +52,33 @@ def worker_count() -> int:
     return max(1, (os.cpu_count() or 1) // _blas_threads())
 
 
-def _run_child(fn, block, write_fd: int) -> None:
-    """Map `fn` over `block`, send a status header and the pickled results down the pipe and exit; never returns.
+def shared_empty(shape) -> np.ndarray:
+    """An uninitialized float array in anonymous shared memory: what a forked child writes into it, the parent reads."""
+    buffer = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(float).itemsize)
+    return np.frombuffer(buffer, dtype=float).reshape(shape)
 
-    Every result is pickled before anything is sent, so a result that cannot
-    be pickled, like an exception of `fn`, makes the header an error.
-    """
+
+def _run_child(fn, block, write_fd: int) -> None:
+    """Call `fn` on every item of `block`, send None or its exception down the pipe and exit; never returns."""
     global _mapping
     _mapping = True
     status = 1
     try:
         try:
-            frames = [pickle.dumps((True, None))]
             for item in block:
-                result = fn(item)
-                try:
-                    frames.append(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                except Exception as exc:
-                    raise RuntimeError(f"worker result could not be pickled: {exc!r}") from None
+                fn(item)
+            error = None
         except BaseException as exc:
-            try:
-                frames = [pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)]
-            except Exception as err:
-                frames = [pickle.dumps((False, RuntimeError(f"worker result could not be pickled: {err!r}")))]
+            error = exc
+        try:
+            frame = pickle.dumps(error, pickle.HIGHEST_PROTOCOL)
+        except Exception as err:
+            frame = pickle.dumps(RuntimeError(f"worker exception could not be pickled: {err!r}"))
         with os.fdopen(write_fd, "wb") as pipe:
-            pipe.writelines(frames)
+            pipe.write(frame)
         status = 0
     finally:
         os._exit(status)
-
-
-def _load(pid: int, pipe):
-    """The next pickle a child sent."""
-    try:
-        return pickle.load(pipe)
-    except (EOFError, pickle.UnpicklingError):  # nothing more, or a cut-off pickle
-        raise RuntimeError(f"worker process {pid} ended without sending its results") from None
-
-
-def _receive(pid: int, pipe, count: int):
-    """The `count` results a child streams, unpickled one at a time; a child's exception is raised here."""
-    ok, error = _load(pid, pipe)
-    if not ok:
-        raise error
-    for _ in range(count):
-        yield _load(pid, pipe)
 
 
 def contiguous_blocks(items) -> list:
@@ -106,20 +91,21 @@ def contiguous_blocks(items) -> list:
     return [items[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def parallel_iter(fn, items):
-    """`fn` over `items`, in order, as an iterator; a plain loop for one worker and inside another map.
+def parallel_map(fn, items) -> None:
+    """Call `fn` on every item, for its effects; a plain loop for one worker and inside another map.
 
-    The children are forked at the first `next`.  The parent's own block comes
-    first, each result as it is solved, then each child's results, read off its
-    pipe one at a time.  Closing the iterator, or dropping it, ends and reaps
-    every child.
+    The parent runs the first block while the children run theirs, then
+    reads each child's report in order and raises the first exception.  A
+    child that ends without reporting is an error, and every child is ended
+    and reaped before this returns or raises.
     """
     global _mapping
     blocks = contiguous_blocks(items)
     if len(blocks) == 1:
-        yield from map(fn, blocks[0])
+        for item in blocks[0]:
+            fn(item)
         return
-    children = []  # (pid, read end of its pipe, its item count)
+    children = []  # (pid, read end of its pipe)
     try:
         for block in blocks[1:]:
             read_fd, write_fd = os.pipe()
@@ -128,23 +114,22 @@ def parallel_iter(fn, items):
                 os.close(read_fd)
                 _run_child(fn, block, write_fd)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), len(block)))
-        for item in blocks[0]:
-            _mapping = True  # only while `fn` runs: the consumer's own code between results is not inside a map
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        _mapping = True
+        try:
+            for item in blocks[0]:
+                fn(item)
+        finally:
+            _mapping = False
+        for pid, pipe in children:
             try:
-                result = fn(item)
-            finally:
-                _mapping = False
-            yield result
-        for pid, pipe, count in children:
-            yield from _receive(pid, pipe, count)
+                error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off pickle
+                raise RuntimeError(f"worker process {pid} ended without reporting") from None
+            if error is not None:
+                raise error
     finally:
-        for pid, pipe, _ in children:
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # no-op on a child that has exited: it waits, unreaped, until here
             os.waitpid(pid, 0)
-
-
-def parallel_map(fn, items) -> list:
-    """The list of `parallel_iter(fn, items)`."""
-    return list(parallel_iter(fn, items))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import parallel_iter
+from ._parallel import parallel_map, shared_empty
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK
 from .exceptions import EnumerationBudgetError, ParameterError
@@ -122,22 +122,20 @@ def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
 
     `eigs` has one row of k eigenvalues per trial, as `hollow_eigenvalues`
     returns them; the traces are taken a chunk of trials at a time on the
-    trial pool, into one table.  Standard errors are across trials, None for
-    one trial.
+    trial pool, into one shared table.  Standard errors are across trials,
+    None for one trial.
     """
     _check_max_m(max_m)
     trials, k = eigs.shape
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     powers = np.arange(max_m + 1)[None, :, None]
+    table = shared_empty((trials, max_m + 1))
 
-    def traces(start: int) -> np.ndarray:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
-        return (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / k
+    def traces(start: int) -> None:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
+        table[start : start + BATCH_CHUNK] = (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / k
 
-    table = np.empty((trials, max_m + 1))
-    starts = range(0, trials, BATCH_CHUNK)
-    for start, chunk in zip(starts, parallel_iter(traces, starts)):
-        table[start : start + BATCH_CHUNK] = chunk
+    parallel_map(traces, range(0, trials, BATCH_CHUNK))
     return _trial_mean(table)
 
 

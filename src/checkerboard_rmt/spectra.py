@@ -2,12 +2,13 @@
 
 Every sampled spectrum comes from `trial_spectra` (trial t of a checkerboard
 ensemble) or `hollow_eigenvalues` (a hollow batch, a chunk at a time), both
-drawn and solved on the trial pool, and every eigenvalue from one solver core
-shared by the two and by `eigensolve`.  Three measures are
-built from a spectrum: the bulk measure (eigenvalues scaled by 1/sqrt(N),
-uniform weights), the blip measure (eigenvalues shifted by N/k and weighted
-by a steep polynomial that is ~1 near the k outlier eigenvalues and ~0 on
-the bulk), and the mean of such measures over several independent matrices.
+drawn and solved on the trial pool into one shared array, and every
+eigenvalue from one solver core shared by the two and by `eigensolve`.
+Three measures are built from a spectrum: the bulk measure (eigenvalues
+scaled by 1/sqrt(N), uniform weights), the blip measure (eigenvalues shifted
+by N/k and weighted by a steep polynomial that is ~1 near the k outlier
+eigenvalues and ~0 on the bulk), and the mean of such measures over several
+independent matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_iter, parallel_map
+from ._parallel import parallel_map, shared_empty
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
@@ -160,32 +161,38 @@ def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
     """Eigenvalues of the first `trials` matrices of a hollow batch, shape (trials, k).
 
     Each `sample_hollow_chunk` is drawn, assembled and solved as one item of
-    the trial pool, so the batch never exists whole, and its eigenvalues go
-    into the result as they arrive. Every matrix is solved on its own, so the
-    result does not depend on the workers.
+    the trial pool, which writes its rows of the shared result, so the batch
+    never exists whole.  Every matrix is solved on its own, so the result
+    does not depend on the workers.
     """
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
+    eigs = shared_empty((trials, params.k))
 
-    def solve(index: int) -> np.ndarray:
-        size = min(BATCH_CHUNK, trials - index * BATCH_CHUNK)
-        return _eigenvalues(sample_hollow_chunk(params, index, size), params.algebra)
+    def solve(start: int) -> None:
+        size = min(BATCH_CHUNK, trials - start)
+        eigs[start : start + size] = _eigenvalues(sample_hollow_chunk(params, start // BATCH_CHUNK, size), params.algebra)
 
-    eigs = np.empty((trials, params.k))
-    for index, chunk in enumerate(parallel_iter(solve, range(-(-trials // BATCH_CHUNK)))):
-        eigs[index * BATCH_CHUNK : (index + 1) * BATCH_CHUNK] = chunk
+    parallel_map(solve, range(0, trials, BATCH_CHUNK))
     return eigs
 
 
 def trial_spectra(params: CheckerboardParams, trials: range) -> list:
     """Spectra of the given trial indices of an ensemble, in order, drawn and solved on the trial pool.
 
-    Trial t is `eigensolve(sample_checkerboard(params, t))`; its random
-    stream depends only on t, so the result does not depend on the workers.
+    Trial t is `eigensolve(sample_checkerboard(params, t))`, written into a
+    row of one shared (trials, N) array; its random stream depends only on
+    t, so the result does not depend on the workers.
     """
     if len(trials) < 1:  # a run over no trials writes or checks nothing
         raise ParameterError(f"trials must be positive, got {len(trials)}")
-    return parallel_map(lambda t: eigensolve(sample_checkerboard(params, t)), trials)
+    eigs = shared_empty((len(trials), params.dim))
+
+    def solve(row: int) -> None:
+        eigs[row] = eigensolve(sample_checkerboard(params, trials[row])).eigenvalues
+
+    parallel_map(solve, range(len(trials)))
+    return [Spectrum(row) for row in eigs]
 
 
 def bulk_measure(spectrum: Spectrum) -> AtomicMeasure:

@@ -25,7 +25,7 @@ from checkerboard_rmt.moments import (
     semicircle_moment,
     trace_expansion_blip_moments,
 )
-from checkerboard_rmt.spectra import BlipConfig, blip_measure, bulk_measure, eigensolve, hollow_eigenvalues
+from checkerboard_rmt.spectra import BlipConfig, blip_measure, bulk_measure, eigensolve, hollow_eigenvalues, trial_spectra
 
 
 def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
@@ -36,7 +36,7 @@ def _verdict(number: int, name: str, passed: bool, detail: str) -> None:
 def _blip_moments(seed: int, algebra: str, dim: int = 600, k: int = 2, g: int = 40, max_m: int = 4):
     params = CheckerboardParams(dim=dim, k=k, w=1.0, algebra=algebra, seed=seed)
     cfg = BlipConfig.for_dimension(dim, k)
-    measures = [blip_measure(eigensolve(sample_checkerboard(params, t)), k, cfg) for t in range(g)]
+    measures = [blip_measure(spectrum, k, cfg) for spectrum in trial_spectra(params, range(g))]
     return average_trial_moments(measures, max_m, center=float(k - 1))
 
 
@@ -44,7 +44,7 @@ def test_criterion_01_bulk_semicircle_moments():
     start = time.perf_counter()
     dim, k, trials = 400, 2, 40
     params = CheckerboardParams(dim=dim, k=k, w=0.0, seed=11)
-    measures = [bulk_measure(eigensolve(sample_checkerboard(params, t))) for t in range(trials)]
+    measures = [bulk_measure(spectrum) for spectrum in trial_spectra(params, range(trials))]
     mv = average_trial_moments(measures, 6)
     elapsed = time.perf_counter() - start
     targets = {ell: float(semicircle_moment(ell, k)) for ell in (2, 4, 6)}
@@ -100,8 +100,8 @@ def test_criterion_05_two_regimes():
     params = CheckerboardParams(dim=dim, k=k, w=1.0, seed=21)
     threshold = dim**0.65
     clean = True
-    for trial in range(trials):
-        split = split_regimes(eigensolve(sample_checkerboard(params, trial)), k, 1.0, 0.65)
+    for spectrum in trial_spectra(params, range(trials)):
+        split = split_regimes(spectrum, k, 1.0, 0.65)
         clean = clean and split.blip_eigenvalues.size == k and split.bulk_eigenvalues.size == dim - k
         clean = clean and bool(np.all(np.abs(split.blip_eigenvalues - 100.0) < threshold))
     _verdict(

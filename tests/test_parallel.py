@@ -1,5 +1,6 @@
-"""The forked trial pool: order, errors, dead workers, streamed results, cleanup and the default worker count."""
+"""The forked trial pool: shared results, order, errors, dead workers, cleanup and the default worker count."""
 
+import itertools
 import os
 import signal
 import threading
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from checkerboard_rmt import _parallel, spectra
-from checkerboard_rmt._parallel import parallel_iter, parallel_map, worker_count
+from checkerboard_rmt._parallel import parallel_map, shared_empty, worker_count
 from checkerboard_rmt.cli import main
 from checkerboard_rmt.exceptions import NumericalDegeneracyError
 
@@ -38,22 +39,45 @@ def _assert_no_children():
 def test_closure_over_an_unpicklable_object_maps_in_order(threads, monkeypatch):
     monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
     lock = threading.Lock()  # cannot be pickled: the children inherit it instead
+    out = shared_empty((11, 2))
 
     def square(x):
         with lock:
-            return x * x
+            out[x] = x * x, os.getpid()
 
-    assert parallel_map(square, range(11)) == [square(x) for x in range(11)]
+    parallel_map(square, range(11))
+    assert out[:, 0].tolist() == [x * x for x in range(11)]
+    assert len(set(out[:, 1])) == int(threads)  # each worker wrote its own block
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("count", [1, 5, 7, 13])
+def test_every_row_is_written_exactly_once(workers, count, monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", str(workers))
+    out = shared_empty((count, 3))
+    out[:] = 0.0
+
+    def fn(x):
+        out[x] += (1.0, x, os.getpid())
+
+    parallel_map(fn, range(count))
+    assert out[:, 0].tolist() == [1.0] * count and out[:, 1].tolist() == list(range(count))
+    pids = out[:, 2].tolist()  # one contiguous run per worker, the first ones one item longer
+    runs = [len(list(group)) for _, group in itertools.groupby(pids)]
+    assert len(set(pids)) == len(runs) == min(workers, count)
+    assert runs == sorted(runs, reverse=True) and runs[0] - runs[-1] <= 1
     _assert_no_children()
 
 
 def test_error_in_a_later_block_reaches_the_parent(monkeypatch):
     monkeypatch.setenv("CHECKERBOARD_THREADS", "4")
+    out = shared_empty(12)
 
     def fn(x):
         if x == 9:
             raise NumericalDegeneracyError(f"item {x} is degenerate")
-        return x
+        out[x] = x
 
     with pytest.raises(NumericalDegeneracyError) as info:
         parallel_map(fn, range(12))
@@ -81,47 +105,30 @@ def test_cli_error_in_a_worker_is_one_error_line(tmp_path, capsys, monkeypatch):
 
 def test_a_worker_that_dies_is_an_error(monkeypatch):
     monkeypatch.setenv("CHECKERBOARD_THREADS", "2")
+    out = shared_empty(4)
 
     def fn(x):
         if x == 3:
             os._exit(3)
-        return x
+        out[x] = x
 
-    with pytest.raises(RuntimeError, match="ended without sending its results"):
+    with pytest.raises(RuntimeError, match="ended without reporting"):
         parallel_map(fn, range(4))
     _assert_no_children()
 
 
 @pytest.mark.parametrize("threads", ["2", "3"])
-def test_a_result_that_cannot_be_pickled_is_an_error(threads, monkeypatch):
+def test_an_exception_that_cannot_be_pickled_is_a_runtime_error(threads, monkeypatch):
     monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
     lock = threading.Lock()
-    with pytest.raises(RuntimeError, match="worker result could not be pickled"):
-        parallel_map(lambda x: lock if x == 3 else x, range(4))  # item 3 is in the last child's block
+
+    def fn(x):
+        if x == 3:  # in the last child's block
+            raise ValueError(lock)
+
+    with pytest.raises(RuntimeError, match="worker exception could not be pickled"):
+        parallel_map(fn, range(4))
     _assert_no_children()
-
-
-def test_a_worker_that_dies_midstream_is_an_error(monkeypatch):
-    monkeypatch.setenv("CHECKERBOARD_THREADS", "2")
-    # each result is larger than a pipe's buffer, so the child's later results wait on the pipe
-    results = parallel_iter(lambda x: (os.getpid(), bytes(1 << 20)), range(6))
-    parent = {next(results)[0] for _ in range(3)}
-    pid, _ = next(results)  # the child's first result
-    assert parent == {os.getpid()} and pid != os.getpid()
-    os.kill(pid, signal.SIGKILL)
-    with pytest.raises(RuntimeError, match=f"worker process {pid} ended without sending its results"):
-        list(results)
-    _assert_no_children()
-
-
-@pytest.mark.parametrize("taken", [0, 1, 5])  # before the first fork, in the parent's block, in a child's stream
-def test_an_abandoned_iterator_leaves_no_child(taken, monkeypatch):
-    monkeypatch.setenv("CHECKERBOARD_THREADS", "3")
-    results = parallel_iter(lambda x: x * x, range(9))
-    assert [next(results) for _ in range(taken)] == [x * x for x in range(taken)]
-    del results
-    _assert_no_children()
-    assert _parallel._mapping is False
 
 
 def test_error_in_the_parents_block_ends_the_workers(monkeypatch):
@@ -131,24 +138,26 @@ def test_error_in_the_parents_block_ends_the_workers(monkeypatch):
         if x == 0:
             raise ValueError("first item")
         time.sleep(60)
-        return x
 
     start = time.perf_counter()
     with pytest.raises(ValueError, match="first item"):
         parallel_map(fn, range(3))
     assert time.perf_counter() - start < 30
+    assert _parallel._mapping is False
     _assert_no_children()
 
 
 def test_a_map_inside_a_map_runs_serially(monkeypatch):
     monkeypatch.setenv("CHECKERBOARD_THREADS", "4")
+    outer, inner = shared_empty(4), shared_empty((4, 4))
 
     def fn(x):
-        return os.getpid(), parallel_map(lambda y: os.getpid(), range(4))
+        outer[x] = os.getpid()
+        parallel_map(lambda y: inner.__setitem__((x, y), os.getpid()), range(4))
 
-    outer = parallel_map(fn, range(4))
-    assert len({pid for pid, _ in outer}) == 4
-    assert all(inner == [pid] * 4 for pid, inner in outer)
+    parallel_map(fn, range(4))
+    assert len(set(outer.tolist())) == 4
+    assert all(inner[x].tolist() == [outer[x]] * 4 for x in range(4))
     assert _parallel._mapping is False
     _assert_no_children()
 

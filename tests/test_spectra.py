@@ -104,7 +104,8 @@ def test_hollow_eigenvalues_hold_one_chunk_of_draws(monkeypatch):
 
 
 def test_hollow_eigenvalues_are_held_once(monkeypatch):
-    # each chunk's eigenvalues go into the result as they arrive: no list of chunks, no concatenated copy
+    # each chunk's eigenvalues go into the shared result, which tracemalloc does not see: the traced peak is
+    # the per-chunk work, and a list of chunks or a concatenated copy on the heap would exceed it
     monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
     tracemalloc.start()
     try:
@@ -113,7 +114,7 @@ def test_hollow_eigenvalues_are_held_once(monkeypatch):
     finally:
         tracemalloc.stop()
     assert eigs.shape == (200_000, 4)
-    assert peak < 1.25 * eigs.nbytes
+    assert peak < 0.25 * eigs.nbytes
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
