@@ -1,9 +1,11 @@
 """Scalar and matrix arithmetic over the real, complex, and quaternion algebras.
 
-Quaternion values are stored as arrays with a trailing axis of length 4 holding
-the components (real, i, j, k).  Only the arithmetic needed to build and
-diagonalize self-adjoint matrices is implemented; quaternion eigensolution goes
-through the standard embedding into 2N x 2N complex matrices.
+Quaternion values are read as arrays with a trailing axis of length 4 holding
+the components (real, i, j, k).  A quaternion matrix is held as its standard
+embedding into a 2N x 2N complex matrix, which is what the eigensolver takes;
+its (N, N, 4) components are a read-only view of the embedding's even rows.
+Only the arithmetic needed to build and diagonalize self-adjoint matrices is
+implemented.
 """
 
 from __future__ import annotations
@@ -67,16 +69,26 @@ def conjugate_transpose(data: np.ndarray, algebra: "DivisionAlgebra | str") -> n
     return out
 
 
+def _is_self_adjoint(data: np.ndarray, algebra: DivisionAlgebra) -> bool:
+    """``entries[i][j] == conj(entries[j][i])`` exactly; quaternion grids are compared one component at a time."""
+    if algebra is not DivisionAlgebra.QUATERNION:
+        return np.array_equal(data, conjugate_transpose(data, algebra))
+    return all(np.array_equal(data[..., c], data[..., c].T if c == 0 else -data[..., c].T) for c in range(4))
+
+
 class HermitianMatrix:
     """Dense self-adjoint matrix over a division algebra.
 
-    Storage: (N, N) float64 for real, (N, N) complex128 for complex, and
-    (N, N, 4) float64 components for quaternion.  Construction checks
+    Storage: (N, N) float64 for real and (N, N) complex128 for complex, held
+    as `data`.  A quaternion matrix holds its (2N, 2N) complex embedding,
+    built from the caller's (N, N, 4) components, as `grid`; its `data` is
+    the (N, N, 4) float64 component array, a read-only view of the
+    embedding's even rows, and never the caller's array.  Construction checks
     ``entries[i][j] == conj(entries[j][i])`` to exact equality, which also
     forces the diagonal to have vanishing imaginary components.
     """
 
-    __slots__ = ("data", "algebra")
+    __slots__ = ("data", "algebra", "_grid")
 
     def __init__(self, data: np.ndarray, algebra: "DivisionAlgebra | str", *, validate: bool = True):
         algebra = DivisionAlgebra.parse(algebra)
@@ -89,14 +101,24 @@ class HermitianMatrix:
             data = np.asarray(data, dtype=dtype)
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise DimensionError(f"matrix needs a square shape, got {data.shape}")
-        if validate and not np.array_equal(data, conjugate_transpose(data, algebra)):
+        if validate and not _is_self_adjoint(data, algebra):
             raise HermitianInvariantError("matrix is not exactly self-adjoint")
-        self.data = data
-        self.algebra = algebra
+        # embedded after the check, so the check's temporaries never sit beside the embedding
+        grid = data
+        if algebra is DivisionAlgebra.QUATERNION:
+            grid = embed_quaternion_blocks(data)
+            grid.flags.writeable = False
+            data = _block_rows(grid)[0::2]
+        self.data, self.algebra, self._grid = data, algebra, grid
 
     @property
     def dim(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def grid(self) -> np.ndarray:
+        """What the eigensolver takes: `data`, or the complex embedding of a quaternion matrix."""
+        return self._grid
 
     def trace(self) -> float:
         """Real trace (the diagonal of a self-adjoint matrix is real)."""
@@ -108,20 +130,39 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim}, algebra={self.algebra.value})"
 
 
+# Entry r + x*i + y*j + z*k of a quaternion grid is the 2x2 block [[r + x*1j, y + z*1j], [-y + z*1j, r - x*1j]]
+# of its complex embedding: the block's even row holds (r, x, y, z) as the real and imaginary parts of its two
+# columns, its odd row (-y, z, r, -x).  Component c sits at _ODD_ROW[c] = (slot, negated) in the odd row.
+_ODD_ROW = ((2, False), (3, True), (0, True), (1, False))
+
+
+def _block_rows(embedding: np.ndarray) -> np.ndarray:
+    """The float view (..., 2N, N, 4) of complex grids (..., 2N, 2N): row, block column, slot."""
+    n = embedding.shape[-1] // 2
+    return embedding.view(float).reshape(*embedding.shape[:-2], 2 * n, n, 4)
+
+
 def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
     """Map quaternion grids (..., N, N, 4) to complex grids (..., 2N, 2N).
 
     Each entry r + x*i + y*j + z*k becomes the 2x2 block
-    [[r + x*1j, y + z*1j], [-y + z*1j, r - x*1j]]; the spectrum of a
-    self-adjoint input is preserved with every eigenvalue doubled.
+    [[r + x*1j, y + z*1j], [-y + z*1j, r - x*1j]], written one component at
+    a time; the spectrum of a self-adjoint input is preserved with every
+    eigenvalue doubled.  Every slot holds a component or its negation, so the
+    embedding equals that complex arithmetic bit for bit wherever the
+    components are finite and nonzero.  A ±0 component can leave a zero slot
+    with the other sign, and an infinite one keeps its value where that
+    arithmetic gives NaN (0 * inf).
     """
     comps = np.asarray(comps, dtype=float)
     n = comps.shape[-2]
-    r, x, y, z = comps[..., 0], comps[..., 1], comps[..., 2], comps[..., 3]
     out = np.empty(comps.shape[:-3] + (2 * n, 2 * n), dtype=complex)
-    out[..., 0::2, 0::2] = r + 1j * x
-    out[..., 0::2, 1::2] = y + 1j * z
-    out[..., 1::2, 0::2] = -y + 1j * z
-    out[..., 1::2, 1::2] = r - 1j * x
+    rows = _block_rows(out)
+    for c, (slot, negated) in enumerate(_ODD_ROW):
+        even, odd = rows[..., 0::2, :, c], rows[..., 1::2, :, slot]
+        even[...] = comps[..., c]
+        if negated:  # 0 - v, not -v: a +0 component gives +0, as r - x*1j does
+            np.subtract(0.0, even, out=odd)
+        else:
+            odd[...] = even
     return out
-

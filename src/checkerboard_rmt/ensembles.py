@@ -113,7 +113,8 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
 
     ``comps`` has shape (components, [batch,] N, N); only the strict upper
     triangle of each draw is used, the lower triangle is its conjugate.  Real
-    sums go into the spent draws themselves.
+    and quaternion sums go into the spent draws themselves, and a quaternion
+    grid is returned as their (..., N, N, 4) view.
     """
     divisor = algebra.entry_divisor
     if algebra is DivisionAlgebra.REAL:
@@ -125,11 +126,10 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
         upper = np.triu(grid, 1)
         np.conj(upper.swapaxes(-1, -2), out=grid)
         return np.add(upper, grid, out=grid)
-    grid = np.empty((*comps.shape[1:], 4))
     for c in range(4):
         upper = np.triu(comps[c] / divisor, 1)
-        (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=grid[..., c])
-    return grid
+        (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=comps[c])
+    return np.moveaxis(comps, 0, -1)
 
 
 def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> HermitianMatrix:

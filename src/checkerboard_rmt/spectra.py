@@ -121,30 +121,33 @@ class BlipConfig:
 def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack.
 
-    Quaternion grids are diagonalized through their complex embedding; the
-    doubled eigenvalue pairs are checked (relative 1e-8) and collapsed.
+    A quaternion grid is given as its complex embedding, which the caller
+    already holds: a `HermitianMatrix` keeps it as `grid`, and
+    `hollow_eigenvalues` embeds each chunk once.  The doubled eigenvalue
+    pairs are checked (relative 1e-8) and collapsed.
     """
-    quaternion = algebra is DivisionAlgebra.QUATERNION
     try:
-        vals = np.linalg.eigvalsh(embed_quaternion_blocks(grid) if quaternion else grid)
+        vals = np.linalg.eigvalsh(grid)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigendecomposition failed for a {algebra.value} grid of shape {grid.shape}: {exc}") from exc
-    if not quaternion:
+    if algebra is not DivisionAlgebra.QUATERNION:
         return vals
     first, second = vals[..., 0::2], vals[..., 1::2]
-    scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
-    bad = ~(np.abs(first - second) <= _KRAMERS_RTOL * scale)  # NaN and inf pairs are bad too
-    if np.any(bad):
-        raise NumericalDegeneracyError(
-            "embedded spectrum is not doubled to relative 1e-8; worst pair "
-            f"({first[bad][0]}, {second[bad][0]})"
-        )
-    return first
+    # written so that a NaN or inf pair fails the check, without a warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(first - second)
+        scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
+        if np.all(gap <= _KRAMERS_RTOL * scale):
+            return first
+        worst = np.unravel_index(np.argmax(gap / scale), gap.shape)  # the largest relative gap, or the first NaN
+    raise NumericalDegeneracyError(
+        f"embedded spectrum is not doubled to relative 1e-8; worst pair ({first[worst]}, {second[worst]})"
+    )
 
 
 def eigensolve(matrix: HermitianMatrix) -> Spectrum:
     """Eigenvalues of a self-adjoint matrix, ascending, checked against its trace."""
-    vals = _eigenvalues(matrix.data, matrix.algebra)
+    vals = _eigenvalues(matrix.grid, matrix.algebra)
     # written so that a NaN or inf spectrum or trace fails the check, without a warning first
     with np.errstate(over="ignore", invalid="ignore"):
         total = vals.sum()
@@ -168,10 +171,12 @@ def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     eigs = shared_empty((trials, params.k))
+    quaternion = params.algebra is DivisionAlgebra.QUATERNION
 
     def solve(start: int) -> None:
         size = min(BATCH_CHUNK, trials - start)
-        eigs[start : start + size] = _eigenvalues(sample_hollow_chunk(params, start // BATCH_CHUNK, size), params.algebra)
+        chunk = sample_hollow_chunk(params, start // BATCH_CHUNK, size)
+        eigs[start : start + size] = _eigenvalues(embed_quaternion_blocks(chunk) if quaternion else chunk, params.algebra)
 
     parallel_map(solve, range(0, trials, BATCH_CHUNK))
     return eigs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, conjugate_transpose, embed_quaternion_blocks
+from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from checkerboard_rmt.exceptions import DimensionError, HermitianInvariantError
 
 from helpers import random_hermitian
@@ -96,3 +97,56 @@ def test_embedding_doubles_every_eigenvalue():
         first, second = vals[0::2], vals[1::2]
         scale = np.maximum(1.0, np.abs(first))
         assert np.all(np.abs(first - second) <= 1e-9 * scale)
+
+
+def _block_formula(comps):
+    """The embedding written as complex arithmetic on whole components, signed zeros and all."""
+    r, x, y, z = (comps[..., c] for c in range(4))
+    n = comps.shape[-2]
+    out = np.empty(comps.shape[:-3] + (2 * n, 2 * n), dtype=complex)
+    out[..., 0::2, 0::2] = r + 1j * x
+    out[..., 0::2, 1::2] = y + 1j * z
+    out[..., 1::2, 0::2] = -y + 1j * z
+    out[..., 1::2, 1::2] = r - 1j * x
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim, k, w, dist",
+    [(1, 1, 1.0, "normal"), (6, 2, 1.0, "normal"), (7, 3, 1.5, "rademacher"), (30, 5, 0.0, "normal"),
+     (64, 7, 2.0, "rademacher"), (120, 2, -1.0, "normal")],
+)
+def test_held_embedding_is_the_block_formula(dim, k, w, dist):
+    sampled = sample_checkerboard(CheckerboardParams(dim, k, w, "quaternion", dist, seed=dim), 2)
+    built = random_hermitian(np.random.default_rng(dim), dim, DivisionAlgebra.QUATERNION)
+    for matrix in (sampled, built):
+        assert matrix.grid.tobytes() == _block_formula(matrix.data).tobytes()
+        assert np.shares_memory(matrix.data, matrix.grid)
+
+
+def test_embedding_differs_from_the_block_formula_only_in_zero_signs():
+    # y = +0 with z < 0: the formula's -y + 1j*z has real part -0 + (0*z - 0) = -0.0, the embedding 0 - y = +0.0
+    data = np.zeros((2, 2, 4))
+    data[0, 0] = data[1, 1] = (1.0, 0.0, 0.0, 0.0)
+    data[0, 1] = (0.5, -0.0, 0.0, -2.0)
+    data[1, 0] = (0.5, 0.0, -0.0, 2.0)
+    held, formula = HermitianMatrix(data, DivisionAlgebra.QUATERNION).grid, _block_formula(data)
+    assert np.array_equal(held, formula)
+    differ = held.view(np.int64) != formula.view(np.int64)
+    assert differ.any() and np.all(held.view(float)[differ] == 0.0)
+
+
+def test_embedding_of_a_stack_is_the_block_formula():
+    chunk = sample_hollow_chunk(HollowParams(k=5, algebra="quaternion", seed=2), 0, 40)
+    assert embed_quaternion_blocks(chunk).tobytes() == _block_formula(chunk).tobytes()
+
+
+def test_quaternion_components_are_a_read_only_copy():
+    data = random_hermitian(np.random.default_rng(4), 3, DivisionAlgebra.QUATERNION).data.copy()
+    m = HermitianMatrix(data, DivisionAlgebra.QUATERNION)
+    assert m.data.shape == (3, 3, 4) and np.array_equal(m.data, data)
+    assert not np.shares_memory(m.data, data)
+    with pytest.raises(ValueError, match="read-only"):
+        m.data[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sample_checkerboard(CheckerboardParams(4, 2, algebra="quaternion"), 0).data[1, 2] = 0.0

@@ -480,6 +480,24 @@ def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, recwa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "algebra, message",
+    [
+        ("real", "error: eigenvalue sum inf disagrees with trace inf (dim=4, algebra=real)"),
+        ("complex", "error: eigenvalue sum inf disagrees with trace inf (dim=4, algebra=complex)"),
+        ("quaternion", "error: embedded spectrum is not doubled to relative 1e-8; worst pair (inf, inf)"),
+    ],
+    ids=["real", "complex", "quaternion"],
+)
+def test_non_finite_spectrum_ends_in_one_error_line(tmp_path, capsys, recwarn, algebra, message):
+    # the trace check (real, complex) or the Kramers pair check (quaternion) fails on inf - inf, without a warning
+    out = tmp_path / "x"
+    assert _run_cli(["sample", "--w", "1e308", "--N", "4", "--algebra", algebra, "--out", out]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert [str(w.message) for w in recwarn] == []
+    assert not out.exists()
+
+
 def test_compare_refuses_zero_trials_before_drawing(tmp_path, capsys, monkeypatch):
     def draw(*args):
         raise AssertionError("compare drew its blip matrices")

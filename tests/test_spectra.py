@@ -80,6 +80,19 @@ def test_quaternion_path_matches_embedding():
     assert np.allclose(direct, doubled[1::2], rtol=1e-8)
 
 
+def test_quaternion_eigensolve_solves_the_held_embedding():
+    # the matrix holds its 2N x 2N embedding (2.56 MB at N = 200); the solve builds no second one
+    matrix = sample_checkerboard(CheckerboardParams(dim=200, k=2, algebra="quaternion", seed=6), 0)
+    tracemalloc.start()
+    try:
+        eigensolve(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.grid.nbytes == 2_560_000
+    assert peak < 0.1 * matrix.grid.nbytes
+
+
 @pytest.mark.parametrize("algebra", ["real", "complex"])
 def test_hollow_eigenvalues_chunks_match_one_solve(algebra):
     # 9000 matrices: nine chunks on the trial pool, in order, each matrix solved on its own
@@ -226,7 +239,14 @@ def test_non_finite_spectrum_is_rejected(algebra):
         eigensolve(matrix)
     if algebra == "quaternion":  # the Kramers check alone: the solver core has no trace check
         with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracyError):
-            _eigenvalues(matrix.data[None], DivisionAlgebra.QUATERNION)
+            _eigenvalues(matrix.grid[None], DivisionAlgebra.QUATERNION)
+
+
+def test_kramers_check_names_the_worst_pair():
+    # eigenvalues 0, 0.001, 5, 6: both pairs split, the second by far more relative to its scale
+    grid = np.diag([0.0, 1e-3, 5.0, 6.0]).astype(complex)
+    with pytest.raises(NumericalDegeneracyError, match=r"worst pair \(5\.0, 6\.0\)$"):
+        _eigenvalues(grid, DivisionAlgebra.QUATERNION)
 
 
 def test_blip_shift_comes_from_the_spectrum():
