@@ -90,7 +90,7 @@ class HermitianMatrix:
 
     __slots__ = ("data", "algebra", "_grid")
 
-    def __init__(self, data: np.ndarray, algebra: "DivisionAlgebra | str", *, validate: bool = True):
+    def __init__(self, data: np.ndarray, algebra: "DivisionAlgebra | str"):
         algebra = DivisionAlgebra.parse(algebra)
         if algebra is DivisionAlgebra.QUATERNION:
             data = np.asarray(data, dtype=float)
@@ -101,7 +101,7 @@ class HermitianMatrix:
             data = np.asarray(data, dtype=dtype)
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise DimensionError(f"matrix needs a square shape, got {data.shape}")
-        if validate and not _is_self_adjoint(data, algebra):
+        if not _is_self_adjoint(data, algebra):
             raise HermitianInvariantError("matrix is not exactly self-adjoint")
         # embedded after the check, so the check's temporaries never sit beside the embedding
         grid = data

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DivisionAlgebra, HermitianMatrix
-from .ensembles import CheckerboardParams, HollowParams
+from .algebra import HermitianMatrix
+from .ensembles import CheckerboardParams
 from .exceptions import AlgebraMismatchError, DimensionError, ParameterError, RegimeOverlapError, StatisticalPowerWarning
-from .moments import _check_max_m, measure_moments
+from .moments import _check_max_m, hollow_moments, measure_moments
 from .spectra import (
     AtomicMeasure,
     BlipConfig,
@@ -26,7 +26,6 @@ from .spectra import (
     blip_measure,
     bulk_measure,
     eigensolve,
-    hollow_eigenvalues,
     trial_spectra,
 )
 
@@ -250,50 +249,32 @@ class ComparisonReport:
     blip_moments: dict
     hollow_moments: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "moment_distances": {str(m): v for m, v in self.moment_distances.items()},
-            "ks_statistic": self.ks_statistic,
-            "sample_sizes": list(self.sample_sizes),
-            "blip_moments": {str(m): v for m, v in self.blip_moments.items()},
-            "hollow_moments": {str(m): v for m, v in self.hollow_moments.items()},
-        }
 
+def compare_blip_to_hollow(blip_sample: AtomicMeasure, hollow_eigs: np.ndarray, max_m: int = 6) -> ComparisonReport:
+    """Compare a centered weighted blip sample against a hollow-ensemble sample.
 
-def compare_blip_to_hollow(
-    blip_sample: AtomicMeasure,
-    k: int,
-    algebra: "DivisionAlgebra | str" = DivisionAlgebra.REAL,
-    hollow_trials: int = 5000,
-    seed: int = 0,
-    max_m: int = 6,
-) -> ComparisonReport:
-    """Compare a centered weighted blip sample against fresh hollow-ensemble draws.
-
-    The blip atoms must already be centered (shifted by the mean k - 1).  Both
-    samples are normalized to unit mass; distances are per-order absolute
-    moment differences for m <= max_m plus a weighted two-sample KS statistic.
+    The blip atoms must already be centered (shifted by the mean k - 1) and
+    are normalized to unit mass.  `hollow_eigs` has one row of k eigenvalues
+    per trial, as `hollow_eigenvalues` returns them; its moments are
+    `hollow_moments`, and its atoms weigh the same.  Distances are per-order
+    absolute moment differences for m <= max_m plus a weighted two-sample KS
+    statistic.
     """
-    _check_max_m(max_m)  # before the hollow batch is drawn
-    algebra = DivisionAlgebra.parse(algebra)
     if blip_sample.locations.size == 0:
         raise ParameterError("empty blip sample")
     mass = blip_sample.total_mass
     if mass <= 0:
         raise ParameterError("blip sample has zero mass")
     blip = AtomicMeasure(blip_sample.locations, blip_sample.weights / mass)
-
-    eigs = hollow_eigenvalues(HollowParams(k, algebra, seed), hollow_trials)
-    hollow = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
-
     blip_m = measure_moments(blip, max_m)
-    hollow_m = measure_moments(hollow, max_m)
+    hollow_m = hollow_moments(hollow_eigs, max_m)
     distances = {m: abs(blip_m[m] - hollow_m[m]) for m in range(1, max_m + 1)}
-    ks = weighted_ks_statistic(blip.locations, blip.weights, hollow.locations, hollow.weights)
+    atoms = hollow_eigs.ravel()
+    ks = weighted_ks_statistic(blip.locations, blip.weights, atoms, np.broadcast_to(1.0, atoms.size))
     return ComparisonReport(
         distances,
         ks,
-        (blip.locations.size, eigs.size),
+        (blip.locations.size, atoms.size),
         {m: blip_m[m] for m in range(max_m + 1)},
         {m: hollow_m[m] for m in range(max_m + 1)},
     )

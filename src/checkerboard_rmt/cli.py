@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._parallel import contiguous_blocks, parallel_map
 from .analysis import _check_exponent, compare_blip_to_hollow, split_regimes
-from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
+from .ensembles import CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
 from .moments import (
     _check_desk_scale,
@@ -307,9 +307,10 @@ class _TrialColumn:
         return numbers % self.n if self.index else numbers // self.n
 
 
-def _eigenvalue_table(artifacts: _Artifacts, per_trial, n: int) -> None:
-    """eigenvalues.csv: (trial, index, eigenvalue) columns from one length-n eigenvalue array per trial."""
-    values = np.asarray(per_trial, dtype=float).reshape(-1)
+def _eigenvalue_table(artifacts: _Artifacts, per_trial) -> None:
+    """eigenvalues.csv: (trial, index, eigenvalue) columns from one equal-length eigenvalue array per trial."""
+    table = np.asarray(per_trial, dtype=float)
+    values, n = table.reshape(-1), table.shape[-1]
     columns = (_TrialColumn(values.size, n, False), _TrialColumn(values.size, n, True), values)
     artifacts.table("eigenvalues", ("trial", "index", "eigenvalue"), columns, "csv")
 
@@ -330,7 +331,7 @@ def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
 
 def _cmd_sample(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
-    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
+    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
     return {}, 0
 
 
@@ -340,10 +341,22 @@ def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
-    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
+    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
     artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(average_measures(measures), config, artifacts)
     return {}, 0
+
+
+def _check_blip_run(config: ExperimentConfig) -> None:
+    """What `blip` and `compare` refuse before anything is drawn.
+
+    `blip_measure` shifts by N/k and windows at k*lambda/N, which finds the
+    outliers, near N*w/k, only for w = 1.
+    """
+    _check_max_m(config.max_m)
+    _check_modulus(config.dim, config.k)
+    if config.w != 1.0:
+        raise ParameterError(f"w must be 1: the blip window sits at N/k, got {config.w}")
 
 
 def _blip_trials(config: ExperimentConfig) -> tuple:
@@ -355,12 +368,12 @@ def _blip_trials(config: ExperimentConfig) -> tuple:
 
 
 def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    _check_max_m(config.max_m)  # before anything is drawn
+    _check_blip_run(config)
     _check_bins(config.bins)
     g, n, spectra, measures = _blip_trials(config)
     center = float(config.k - 1)
     moments = average_trial_moments(measures, config.max_m, center=center)
-    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra], config.dim)
+    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
     artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(average_measures(measures), config, artifacts, value_range=default_blip_range(config.k))
     return {"g": g, "n": n, "moment_center": center}, 0
@@ -372,7 +385,7 @@ def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=config.algebra, seed=config.seed), config.trials)
     moments = hollow_moments(eigs, config.max_m)
     measure = AtomicMeasure(eigs.ravel(), np.broadcast_to(1.0 / eigs.size, eigs.size))  # one weight, never copied
-    _eigenvalue_table(artifacts, eigs, config.k)
+    _eigenvalue_table(artifacts, eigs)
     artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
     emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))
     return {"ensemble": f"hollow-{config.algebra}"}, 0
@@ -458,19 +471,16 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
 
 
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    if config.trials < 1:  # before the g blip matrices are drawn
-        raise ParameterError(f"trials must be positive, got {config.trials}")
-    _check_max_m(config.max_m)
+    _check_blip_run(config)
+    eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=config.algebra, seed=config.seed), config.trials)
     g, n, _, measures = _blip_trials(config)
     averaged = average_measures(measures)
     centered = AtomicMeasure(averaged.locations - (config.k - 1), averaged.weights)
-    report = compare_blip_to_hollow(
-        centered, config.k, config.algebra, hollow_trials=config.trials, seed=config.seed, max_m=config.max_m
-    )
-    artifacts.json("report", {"command": "compare", "config": _config_echo(config), **report.to_dict()})
+    report = compare_blip_to_hollow(centered, eigs, config.max_m)
+    artifacts.json("report", {"command": "compare", "config": _config_echo(config), **vars(report)})
     print(
         "compare: moment distances "
-        + ", ".join(f"m{m}={d:.4f}" for m, d in sorted(report.moment_distances.items()))
+        + ", ".join(f"m{m}={d:.4f}" for m, d in report.moment_distances.items())
         + f"; ks={report.ks_statistic:.4f}"
     )
     return {"g": g, "n": n}, 0

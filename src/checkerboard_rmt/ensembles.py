@@ -58,6 +58,11 @@ def _component_draws(rng: np.random.Generator, distribution: str, shape: tuple) 
     return 2.0 * rng.integers(0, 2, size=shape).astype(float) - 1.0
 
 
+def _check_modulus(dim: int, k: int) -> None:
+    if not 1 <= k <= dim:
+        raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+
+
 def _validate_seed(seed: int) -> None:
     if not 0 <= seed < _MAX_SEED:
         raise ParameterError(f"seed {seed} outside the unsigned 64-bit range")
@@ -78,8 +83,7 @@ class CheckerboardParams:
         object.__setattr__(self, "algebra", DivisionAlgebra.parse(self.algebra))
         if self.dim < 1:
             raise ParameterError(f"dimension must be positive, got {self.dim}")
-        if not 1 <= self.k <= self.dim:
-            raise ParameterError(f"need 1 <= k <= dim, got k={self.k}, dim={self.dim}")
+        _check_modulus(self.dim, self.k)
         if not math.isfinite(self.w):
             raise ParameterError(f"w must be finite, got {self.w}")
         if self.distribution not in DISTRIBUTIONS:
@@ -164,8 +168,7 @@ def congruence_indicator_matrix(dim: int, k: int, w: float) -> HermitianMatrix:
     When k divides the dimension its spectrum is exactly {dim*w/k with
     multiplicity k, 0 with multiplicity dim-k}.
     """
-    if not 1 <= k <= dim:
-        raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    _check_modulus(dim, k)
     data = np.zeros((dim, dim))
     _set_congruent(data, k, float(w))
     return HermitianMatrix(data, DivisionAlgebra.REAL)

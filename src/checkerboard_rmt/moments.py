@@ -23,9 +23,9 @@ import numpy as np
 
 from ._parallel import parallel_map, shared_empty
 from .algebra import DivisionAlgebra, HermitianMatrix
-from .ensembles import BATCH_CHUNK
+from .ensembles import BATCH_CHUNK, _check_modulus
 from .exceptions import EnumerationBudgetError, ParameterError
-from .spectra import AtomicMeasure, BlipConfig, _check_modulus
+from .spectra import AtomicMeasure, BlipConfig
 
 __all__ = [
     "MAX_MOMENT",

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._parallel import parallel_map, shared_empty
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
-from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
+from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
 __all__ = [
@@ -95,11 +95,6 @@ def default_blip_half_degree(dim: int) -> int:
 def default_average_count(dim: int) -> int:
     """Default number of matrices averaged in a blip experiment."""
     return max(8, math.ceil(dim ** 0.25))
-
-
-def _check_modulus(dim: int, k: int) -> None:
-    if not 1 <= k <= dim:
-        raise ParameterError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from checkerboard_rmt.analysis import (
     weighted_ks_statistic,
     weyl_check,
 )
-from checkerboard_rmt.ensembles import CheckerboardParams, congruence_indicator_matrix, sample_checkerboard
+from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from checkerboard_rmt.moments import measure_moments
-from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, bulk_measure, eigensolve
+from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, bulk_measure, eigensolve, hollow_eigenvalues
 
 from helpers import random_hermitian
 
@@ -150,24 +150,21 @@ def test_ks_disjoint_samples_one():
 
 def test_compare_rejects_empty():
     with pytest.raises(ParameterError):
-        compare_blip_to_hollow(AtomicMeasure(np.array([]), np.array([])), 2)
+        compare_blip_to_hollow(AtomicMeasure(np.array([]), np.array([])), hollow_eigenvalues(HollowParams(2), 5000))
 
 
 def test_compare_hollow_sample_against_itself_distribution():
     # two independent hollow samples should be statistically indistinguishable
-    from checkerboard_rmt.ensembles import HollowParams
-    from checkerboard_rmt.spectra import hollow_eigenvalues
-
     eigs = hollow_eigenvalues(HollowParams(2, seed=5), 4000)
     sample = AtomicMeasure(eigs.ravel(), np.full(eigs.size, 1.0 / eigs.size))
-    report = compare_blip_to_hollow(sample, 2, "real", hollow_trials=4000, seed=6)
+    report = compare_blip_to_hollow(sample, hollow_eigenvalues(HollowParams(2, seed=6), 4000))
     assert report.moment_distances[1] < 0.1
     assert report.moment_distances[2] < 0.1
     assert report.ks_statistic < 0.05
 
 
 def test_compare_real_blip_to_hollow():
-    report = compare_blip_to_hollow(_centered_blip_sample(4, 600, 40), 2, "real", hollow_trials=5000, seed=0)
+    report = compare_blip_to_hollow(_centered_blip_sample(4, 600, 40), hollow_eigenvalues(HollowParams(2, seed=0), 5000))
     assert report.moment_distances[2] < 0.15
     assert report.moment_distances[4] < 0.6
     assert report.sample_sizes == (600 * 40, 2 * 5000)
@@ -175,10 +172,9 @@ def test_compare_real_blip_to_hollow():
 
 def test_compare_distances_shrink_with_dimension():
     distances = []
+    hollow = hollow_eigenvalues(HollowParams(2, seed=52), 4000)
     for dim in (200, 400, 600):
-        report = compare_blip_to_hollow(
-            _centered_blip_sample(2, dim, 32), 2, "real", hollow_trials=4000, seed=52
-        )
+        report = compare_blip_to_hollow(_centered_blip_sample(2, dim, 32), hollow)
         distances.append((report.moment_distances[2] + report.moment_distances[4]) / 2)
     slope = np.polyfit([200.0, 400.0, 600.0], distances, 1)[0]
     assert slope < 0.0
@@ -244,7 +240,7 @@ def test_probes_equal_serial_trial_blocks():
         lambda: bulk_divergence_probe(2, 40, (16, 24), trials=3),
         lambda: variance_decay_probe(2, 40, (16, 24), trials=20),
         lambda: blip_moment_fluctuation_probe(2, 40, (16, 24), trials=3),
-        lambda: compare_blip_to_hollow(AtomicMeasure(np.array([0.0]), np.array([1.0])), 2, hollow_trials=100, max_m=40),
+        lambda: compare_blip_to_hollow(AtomicMeasure(np.array([0.0]), np.array([1.0])), np.zeros((1, 2)), max_m=40),
     ],
     ids=["bulk-divergence", "variance-decay", "blip-fluctuation", "compare"],
 )
@@ -253,6 +249,5 @@ def test_probes_refuse_a_bad_order_before_drawing(probe, monkeypatch):
         raise AssertionError("drew before refusing the moment order")
 
     monkeypatch.setattr(analysis, "trial_spectra", no_draw)
-    monkeypatch.setattr(analysis, "hollow_eigenvalues", no_draw)
     with pytest.raises(ParameterError, match="moment order cap is 32, got 40"):
         probe()

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from checkerboard_rmt import analysis, cli
+from checkerboard_rmt import cli
 from checkerboard_rmt.cli import (
     CSV_BLOCK_ROWS,
     CSV_PIECE_ROWS,
@@ -151,7 +151,7 @@ def test_eigenvalue_table_blocks_match_the_per_cell_rule(n, trials, boundary, tm
     # and trial 2730 the first piece boundary
     values = np.random.default_rng(n).standard_normal((trials, n))
     artifacts = _Artifacts()
-    _eigenvalue_table(artifacts, values, n)
+    _eigenvalue_table(artifacts, values)
     [(name, (header, columns))] = artifacts.files
     assert name == "eigenvalues.csv" and boundary < len(columns[0]) <= 2 * boundary  # rows just past the boundary
     expected = _per_cell_csv_text(header, ((t, i, values[t, i]) for t in range(trials) for i in range(n)))
@@ -166,7 +166,7 @@ def test_eigenvalue_table_write_holds_less_than_its_file(tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         artifacts = _Artifacts()
-        _eigenvalue_table(artifacts, eigs, 16)
+        _eigenvalue_table(artifacts, eigs)
         artifacts.write(tmp_path, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -348,6 +348,18 @@ def test_compare_command(tmp_path):
     assert 0.0 <= report["ks_statistic"] <= 1.0
 
 
+@pytest.mark.parametrize("algebra", ["real", "quaternion"])
+def test_compare_hollow_moments_are_the_hollow_commands(tmp_path, algebra):
+    # compare's hollow side is `hollow`'s draw reduced by `hollow_moments`, value for value
+    common = ["--k", "3", "--algebra", algebra, "--seed", "5", "--trials", "1500", "--max-m", "11"]
+    assert _run_cli(["hollow", *common, "--out", tmp_path / "hollow"]) == 0
+    assert _run_cli(["compare", *common, "--N", "60", "--g", "2", "--out", tmp_path / "compare"]) == 0
+    rows = _read(tmp_path / "hollow" / "moments.csv").splitlines()[2:]
+    report = json.loads(_read(tmp_path / "compare" / "report.json"))
+    assert list(report["hollow_moments"]) == [str(m) for m in range(12)]  # numeric order past m = 9
+    assert [float(row.split(",")[1]) for row in rows] == list(report["hollow_moments"].values())
+
+
 def test_unknown_flag_exits_nonzero_without_outputs(tmp_path):
     out = tmp_path / "nothing"
     with pytest.raises(SystemExit) as exc:
@@ -436,6 +448,10 @@ _REFUSED_RUNS = {
     "blip-max-m": (["blip", "--max-m", "40"], "error: moment order cap is 32, got 40", False),
     "compare-max-m": (["compare", "--algebra", "quaternion", "--max-m", "40"], "error: moment order cap is 32, got 40",
                       False),
+    "compare-k": (["compare", "--k", "700"], "error: need 1 <= k <= dim, got k=700, dim=600", False),
+    # the blip window sits at N/k, where the outliers are only for w = 1
+    "blip-w": (["blip", "--w", "2"], "error: w must be 1: the blip window sits at N/k, got 2.0", False),
+    "compare-w": (["compare", "--w", "0.5"], "error: w must be 1: the blip window sits at N/k, got 0.5", False),
     "bulk-no-bins": (["bulk", "--algebra", "quaternion", "--bins", "0"], "error: bins must be >= 1, got 0", False),
     "blip-no-bins": (["blip", "--bins", "0"], "error: bins must be >= 1, got 0", False),
     "hollow-no-bins": (["hollow", "--k", "16", "--bins", "0"], "error: bins must be >= 1, got 0", False),
@@ -469,8 +485,8 @@ def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, recwa
         raise AssertionError("sample_checkerboard drew before the refusal")
 
     if not drawn:
-        for module, name in ((cli, "trial_spectra"), (cli, "hollow_eigenvalues"), (analysis, "hollow_eigenvalues")):
-            monkeypatch.setattr(module, name, refuse_only(getattr(module, name)))
+        for name in ("trial_spectra", "hollow_eigenvalues"):
+            monkeypatch.setattr(cli, name, refuse_only(getattr(cli, name)))
         monkeypatch.setattr(cli, "sample_checkerboard", refuse)
     out = tmp_path / "x"
     assert _run_cli([*argv, "--out", out]) == 2
@@ -548,7 +564,7 @@ def test_bad_inputs_end_in_one_error_line(tmp_path, capsys, monkeypatch, config,
 def test_config_file_floats_take_any_json_number(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"w": 2, "exponent": 0.5, "g": None}))
-    assert _run_cli(["blip", "--config", cfg_path, "--N", "12", "--g", "2", "--out", tmp_path / "ok"]) == 0
+    assert _run_cli(["bulk", "--config", cfg_path, "--N", "12", "--trials", "2", "--out", tmp_path / "ok"]) == 0
     config = json.loads((tmp_path / "ok" / "manifest.json").read_text())["config"]
     assert config["w"] == 2.0 and isinstance(config["w"], float) and config["exponent"] == 0.5
 
