@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from ._parallel import parallel_map, shared_empty
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard, sample_hollow_chunk
@@ -119,10 +120,11 @@ def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     A quaternion grid is given as its complex embedding, which the caller
     already holds: a `HermitianMatrix` keeps it as `grid`, and
     `hollow_eigenvalues` embeds each chunk once.  The doubled eigenvalue
-    pairs are checked (relative 1e-8) and collapsed.
+    pairs are checked (relative 1e-8) and collapsed.  A large single complex
+    grid goes to LAPACK's two-stage solver (`_lapack.eigvalsh`).
     """
     try:
-        vals = np.linalg.eigvalsh(grid)
+        vals = _lapack.eigvalsh(grid)
     except np.linalg.LinAlgError as exc:
         raise EigensolveError(f"eigendecomposition failed for a {algebra.value} grid of shape {grid.shape}: {exc}") from exc
     if algebra is not DivisionAlgebra.QUATERNION:

@@ -1,13 +1,15 @@
 """Eigensolution, the bulk and blip measures, and their averages."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from checkerboard_rmt import spectra
+from checkerboard_rmt import _lapack, spectra
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
+from checkerboard_rmt.cli import main
 from checkerboard_rmt.ensembles import (
     BATCH_CHUNK,
     CheckerboardParams,
@@ -91,6 +93,71 @@ def test_quaternion_eigensolve_solves_the_held_embedding():
         tracemalloc.stop()
     assert matrix.grid.nbytes == 2_560_000
     assert peak < 0.1 * matrix.grid.nbytes
+
+
+def test_two_stage_solve_copies_the_held_embedding_once():
+    # LAPACK overwrites its input, so the two-stage path hands it one copy of the held grid, and no transposed one
+    if _lapack.two_stage_solver() is None:
+        pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
+    matrix = sample_checkerboard(CheckerboardParams(dim=208, k=2, algebra="quaternion", seed=6), 0)
+    tracemalloc.start()
+    try:
+        eigensolve(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matrix.grid) == _lapack.TWO_STAGE_MIN_ORDER
+    assert matrix.grid.nbytes <= peak < 1.1 * matrix.grid.nbytes
+
+
+# complex orders on both sides of TWO_STAGE_MIN_ORDER = 416; a quaternion matrix is solved as its order-2N embedding
+@pytest.mark.parametrize(
+    "algebra, dim",
+    [("real", 600), ("complex", 415), ("complex", 416), ("complex", 600), ("quaternion", 200), ("quaternion", 208),
+     ("quaternion", 300)],
+)
+@pytest.mark.parametrize("bound", [True, False], ids=["bound", "unbound"])
+def test_large_complex_grids_take_the_two_stage_solver(algebra, dim, bound, monkeypatch):
+    solver = _lapack.two_stage_solver()
+    orders = []
+
+    def spy(*args):
+        orders.append(args[3])
+        return solver(*args)
+
+    monkeypatch.setattr(_lapack, "two_stage_solver", lambda: spy if bound and solver is not None else None)
+    matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
+    quaternion = algebra == "quaternion"
+    numpy_vals = np.linalg.eigvalsh(matrix.grid)
+    expected = numpy_vals[0::2] if quaternion else numpy_vals
+    two_stage = bound and algebra != "real" and len(matrix.grid) >= _lapack.TWO_STAGE_MIN_ORDER
+    if two_stage and solver is None:
+        pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
+    vals = eigensolve(matrix).eigenvalues
+    if two_stage:
+        assert np.abs(vals - expected).max() <= 1e-12 * np.abs(expected).max()
+    else:
+        assert np.array_equal(vals, expected)
+    # a stack of grids, as a hollow chunk is, always goes to numpy
+    stack = np.stack([matrix.grid, matrix.grid])
+    stacked = np.linalg.eigvalsh(stack)
+    assert np.array_equal(_eigenvalues(stack, matrix.algebra), stacked[:, 0::2] if quaternion else stacked)
+    assert orders == ([len(matrix.grid)] if two_stage else [])
+
+
+@pytest.mark.parametrize("info", [1, -1010])
+@pytest.mark.parametrize("algebra, dim", [("complex", 416), ("quaternion", 208)])
+def test_failed_two_stage_solve_is_an_eigensolve_error(algebra, dim, info, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
+    monkeypatch.setattr(_lapack, "two_stage_solver", lambda: lambda *args: info)
+    order = 2 * dim if algebra == "quaternion" else dim
+    message = f"eigendecomposition failed for a {algebra} grid of shape ({order}, {order}): zheevd_2stage returned info={info}"
+    with pytest.raises(EigensolveError, match=re.escape(message)):
+        eigensolve(sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra), 0))
+    out = tmp_path / "x"
+    assert main(["sample", "--k", "2", "--N", str(dim), "--trials", "1", "--algebra", algebra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algebra", ["real", "complex"])
