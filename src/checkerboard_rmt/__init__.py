@@ -46,11 +46,11 @@ from .moments import (
 from .analysis import (
     ComparisonReport,
     RegimeSplit,
+    SweepReport,
     WeylResult,
-    bulk_divergence_probe,
+    bulk_moment_sweep,
     compare_blip_to_hollow,
     split_regimes,
-    variance_decay_probe,
     weyl_check,
 )
 
@@ -85,10 +85,10 @@ __all__ = [
     "trace_expansion_blip_moments",
     "ComparisonReport",
     "RegimeSplit",
+    "SweepReport",
     "WeylResult",
-    "bulk_divergence_probe",
+    "bulk_moment_sweep",
     "compare_blip_to_hollow",
     "split_regimes",
-    "variance_decay_probe",
     "weyl_check",
 ]

@@ -1,8 +1,9 @@
-"""Statistical verification: regime splitting, perturbation bounds, and probes.
+"""Statistical verification: regime splitting, perturbation bounds, the bulk size sweep.
 
 Checkerboard matrices split into a bulk of N-k eigenvalues of order sqrt(N)
-and k outliers near N*w/k.  The probes here measure that split, the Weyl
-perturbation bound underlying it, the growth/decay laws of bulk moments, and
+and k outliers near N*w/k.  This module measures that split, the Weyl
+perturbation bound underlying it, the growth of the bulk moments' means and
+the decay of their variances across N (one sweep, `bulk_moment_sweep`), and
 the distributional match between centered blip samples and hollow Gaussian
 ensembles.
 """
@@ -16,32 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import HermitianMatrix
-from .ensembles import CheckerboardParams
+from .ensembles import CheckerboardParams, _check_modulus
 from .exceptions import AlgebraMismatchError, DimensionError, ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from .moments import _check_max_m, hollow_moments, measure_moments
-from .spectra import (
-    AtomicMeasure,
-    BlipConfig,
-    Spectrum,
-    blip_measure,
-    bulk_measure,
-    eigensolve,
-    trial_spectra,
-)
+from .spectra import AtomicMeasure, Spectrum, bulk_measure, eigensolve, trial_spectra
 
 __all__ = [
     "RegimeSplit",
     "WeylResult",
-    "GrowthReport",
-    "DecayReport",
+    "SweepReport",
     "ComparisonReport",
-    "FluctuationReport",
     "split_regimes",
     "weyl_check",
-    "bulk_divergence_probe",
-    "variance_decay_probe",
+    "bulk_moment_sweep",
     "compare_blip_to_hollow",
-    "blip_moment_fluctuation_probe",
     "weighted_ks_statistic",
 ]
 
@@ -64,11 +53,13 @@ def _check_exponent(exponent: float) -> None:
 def split_regimes(spectrum: Spectrum, k: int, w: float, exponent: float = 0.65) -> RegimeSplit:
     """Classify eigenvalues: |x| < N^exponent is bulk, |x - N*w/k| < N^exponent is blip.
 
-    Raises RegimeOverlapError when any eigenvalue matches both windows or
-    neither, which signals that N is too small for the chosen exponent.
+    Refuses k outside 1..N.  Raises RegimeOverlapError when any eigenvalue
+    matches both windows or neither, which signals that N is too small for
+    the chosen exponent.
     """
     _check_exponent(exponent)
     n = spectrum.source_dimension
+    _check_modulus(n, k)
     threshold = float(n) ** exponent
     target = n * w / k
     lam = spectrum.eigenvalues
@@ -108,10 +99,13 @@ def weyl_check(h: HermitianMatrix, p: HermitianMatrix, tol: float = 1e-8) -> Wey
     return WeylResult(max_deviation <= tol, max_deviation, op_norm)
 
 
-def _fit_loglog(sizes: np.ndarray, values: np.ndarray) -> tuple:
-    """OLS slope of log(values) against log(sizes) with its standard error."""
+def _fit_loglog(sizes: tuple, values: list) -> tuple:
+    """OLS slope of log(values) against log(sizes) with its standard error; NaN unless every value is positive."""
+    y = np.asarray(values, dtype=float)
+    if not np.all(y > 0):
+        return float("nan"), float("nan")
     x = np.log(np.asarray(sizes, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
+    y = np.log(y)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = len(x) - 2
@@ -122,109 +116,72 @@ def _fit_loglog(sizes: np.ndarray, values: np.ndarray) -> tuple:
     return float(slope), se
 
 
-def _size_samples(k: int, sizes: tuple, trials: int, seed: int, w: float, statistic) -> list:
-    """Per size, the array of statistic(spectrum) over its own block of trials.
-
-    The size at position idx draws trials idx*trials .. (idx+1)*trials - 1 of
-    the real checkerboard ensemble (dim, k, w, seed).
-    """
-    samples = []
-    for idx, dim in enumerate(sizes):
-        params = CheckerboardParams(dim=dim, k=k, w=w, seed=seed)
-        spectra = trial_spectra(params, range(idx * trials, (idx + 1) * trials))
-        samples.append(np.array([statistic(s) for s in spectra]))
-    return samples
-
-
-def _bulk_moment(ell: int):
-    return lambda spectrum: measure_moments(bulk_measure(spectrum), ell)[ell]
-
-
 @dataclass(frozen=True)
-class GrowthReport:
-    """Growth of bulk moments with N, with a fitted log-log slope."""
+class SweepReport:
+    """The ell-th bulk moment across sizes: per-size statistics and log-log slopes."""
 
     k: int
     ell: int
     w: float
     sizes: tuple
-    estimates: tuple
-    stderrs: tuple
     trials: int
-    slope: float
-    slope_ci: tuple
-
-
-def bulk_divergence_probe(
-    k: int, ell: int, sizes, trials: int = 30, seed: int = 0, w: float = 1.0
-) -> GrowthReport:
-    """Estimate the ell-th bulk moment across sizes and fit its log-log growth.
-
-    With the constant stripe present (w != 0) the even moments of order >= 4
-    grow like N^(ell/2 - 1); with w = 0 they converge instead.
-    """
-    _check_max_m(ell)  # before anything is drawn
-    if ell < 4 or ell % 2:
-        raise ParameterError(f"divergence shows only for even ell >= 4, got ell={ell}")
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2:
-        raise ParameterError("need at least two sizes to fit a slope")
-    estimates, stderrs = [], []
-    for samples in _size_samples(k, sizes, trials, seed, w, _bulk_moment(ell)):
-        estimates.append(float(samples.mean()))
-        stderrs.append(float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan"))
-    slope, se = _fit_loglog(np.array(sizes), np.array(estimates))
-    ci = (slope - 1.96 * se, slope + 1.96 * se)
-    return GrowthReport(k, ell, w, sizes, tuple(estimates), tuple(stderrs), trials, slope, ci)
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Decay of the variance of a bulk moment with N."""
-
-    k: int
-    ell: int
-    sizes: tuple
-    variances: tuple
     means: tuple
-    trials: int
-    slope: float
+    stderrs: tuple
+    variances: tuple
+    mean_slope: float
+    mean_slope_se: float
+    variance_slope: float
 
 
-def variance_decay_probe(k: int, ell: int, sizes, trials: int, seed: int = 0) -> DecayReport:
-    """Sample variance of the ell-th bulk moment at each size (w = 0 ensemble).
+def bulk_moment_sweep(k: int, ell: int, sizes, trials: int, w: float, seed: int = 0) -> SweepReport:
+    """Mean, standard error and sample variance of the ell-th bulk moment at each size.
 
-    The variance decays like 1/N^2; the fitted log-log slope should sit near -2
-    and below -1.5 once Monte Carlo noise is accounted for.
+    The size at position idx draws trials idx*trials .. (idx+1)*trials - 1 of
+    the real checkerboard ensemble (dim, k, w, seed).  With the stripe
+    (w != 0) the even means of order >= 4 grow like N^(ell/2 - 1); the
+    variances decay like 1/N^2.  A slope is NaN unless every value it fits
+    is positive; the means' slope has no standard error (NaN) from two sizes.
     """
-    _check_max_m(ell)  # before anything is drawn
+    _check_max_m(ell)  # every refusal comes before anything is drawn
+    sizes = tuple(int(s) for s in sizes)
+    if len(set(sizes)) < 2:
+        raise ParameterError(f"need at least two distinct sizes to fit a slope, got {sizes}")
+    if trials < 2:
+        raise ParameterError(f"need at least two trials per size for a variance, got {trials}")
+    params = [CheckerboardParams(dim=dim, k=k, w=w, seed=seed) for dim in sizes]
     if trials < 20:
         warnings.warn(
             f"{trials} trials give little power for a variance estimate; use >= 20",
             StatisticalPowerWarning,
             stacklevel=2,
         )
-    sizes = tuple(int(s) for s in sizes)
-    variances, means = [], []
-    for samples in _size_samples(k, sizes, trials, seed, 0.0, _bulk_moment(ell)):
-        variances.append(float(samples.var(ddof=1)) if trials > 1 else 0.0)
+    means, stderrs, variances = [], [], []
+    for idx, size_params in enumerate(params):
+        spectra = trial_spectra(size_params, range(idx * trials, (idx + 1) * trials))
+        samples = np.array([measure_moments(bulk_measure(s), ell)[ell] for s in spectra])
         means.append(float(samples.mean()))
-    if all(v > 0 for v in variances) and len(sizes) >= 2:
-        slope, _ = _fit_loglog(np.array(sizes), np.array(variances))
-    else:
-        slope = float("nan")
-    return DecayReport(k, ell, sizes, tuple(variances), tuple(means), trials, slope)
+        stderrs.append(float(samples.std(ddof=1) / math.sqrt(trials)))
+        variances.append(float(samples.var(ddof=1)))
+    mean_slope, mean_slope_se = _fit_loglog(sizes, means)
+    variance_slope, _ = _fit_loglog(sizes, variances)
+    return SweepReport(
+        k, ell, w, sizes, trials, tuple(means), tuple(stderrs), tuple(variances), mean_slope, mean_slope_se, variance_slope
+    )
 
 
 def weighted_ks_statistic(loc1, w1, loc2, w2) -> float:
     """Two-sample Kolmogorov-Smirnov distance between weighted atom samples.
 
-    Each sample is normalized to unit mass before building its CDF.
+    Each sample is normalized to unit mass before building its CDF, so it
+    needs one nonnegative weight per location and a positive total.
     """
     loc1, w1 = np.asarray(loc1, float), np.asarray(w1, float)
     loc2, w2 = np.asarray(loc2, float), np.asarray(w2, float)
     if loc1.size == 0 or loc2.size == 0:
         raise ParameterError("need nonempty samples for a KS statistic")
+    for loc, wts in ((loc1, w1), (loc2, w2)):
+        if wts.shape != loc.shape or not (wts.min() >= 0 and wts.sum() > 0):
+            raise ParameterError("KS weights must match their locations, be nonnegative and have a positive total")
 
     def cdf(loc, wts, grid):
         order = np.argsort(loc, kind="stable")
@@ -278,33 +235,3 @@ def compare_blip_to_hollow(blip_sample: AtomicMeasure, hollow_eigs: np.ndarray, 
         {m: blip_m[m] for m in range(max_m + 1)},
         {m: hollow_m[m] for m in range(max_m + 1)},
     )
-
-
-@dataclass(frozen=True)
-class FluctuationReport:
-    """r-th central sample moments of a blip moment across matrix sizes."""
-
-    k: int
-    m: int
-    r: int
-    sizes: tuple
-    central_moments: tuple
-    trials: int
-
-
-def blip_moment_fluctuation_probe(k: int, m: int, sizes, trials: int, r: int = 2, seed: int = 0) -> FluctuationReport:
-    """Spot-check that per-matrix blip moments stay bounded as N grows.
-
-    Returns the r-th central sample moment of the m-th blip moment at each size.
-    """
-    _check_max_m(m)  # before anything is drawn
-    if r < 1 or trials < 2:
-        raise ParameterError(f"need r >= 1 and trials >= 2, got r={r}, trials={trials}")
-    sizes = tuple(int(s) for s in sizes)
-
-    def blip_moment(spectrum: Spectrum) -> float:
-        cfg = BlipConfig.for_dimension(spectrum.source_dimension, k)
-        return measure_moments(blip_measure(spectrum, k, cfg), m)[m]
-
-    outcomes = [float(np.mean((s - s.mean()) ** r)) for s in _size_samples(k, sizes, trials, seed, 1.0, blip_moment)]
-    return FluctuationReport(k, m, r, sizes, tuple(outcomes), trials)

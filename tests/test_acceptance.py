@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from checkerboard_rmt.analysis import bulk_divergence_probe, split_regimes, variance_decay_probe
+from checkerboard_rmt.analysis import bulk_moment_sweep, split_regimes
 from checkerboard_rmt.cli import main as cli_main
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.moments import (
@@ -145,16 +145,16 @@ def test_criterion_08_trace_expansion_identity():
 
 
 def test_criterion_09_variance_decay_and_divergence():
-    decay = variance_decay_probe(2, 2, [100, 400], trials=200, seed=9)
+    decay = bulk_moment_sweep(2, 2, [100, 400], 200, 0.0, seed=9)
     ratio = decay.variances[0] / decay.variances[1]
-    growth = bulk_divergence_probe(2, 4, [64, 128, 256], trials=30, seed=0)
-    ok = 6.4 <= ratio <= 40.0 and abs(growth.slope - 1.0) <= 0.4
+    growth = bulk_moment_sweep(2, 4, [64, 128, 256], 30, 1.0, seed=0)
+    ok = 6.4 <= ratio <= 40.0 and abs(growth.mean_slope - 1.0) <= 0.4
     _verdict(
         9,
         "variance decay and moment divergence",
         ok,
         f"Var ratio N=100/N=400 = {ratio:.1f} (target 16, within [6.4, 40]); "
-        f"divergence slope {growth.slope:.3f} (target 1.0 +/- 0.4)",
+        f"divergence slope {growth.mean_slope:.3f} (target 1.0 +/- 0.4)",
     )
 
 

@@ -1,23 +1,24 @@
-"""Regime splitting, the perturbation bound, and the statistical probes."""
+"""Regime splitting, the perturbation bound, the bulk size sweep and the blip comparison."""
 
 import numpy as np
 import pytest
 
 import checkerboard_rmt.analysis as analysis
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix
-from checkerboard_rmt.analysis import (
-    blip_moment_fluctuation_probe,
-    bulk_divergence_probe,
-    compare_blip_to_hollow,
-    split_regimes,
-    variance_decay_probe,
-    weighted_ks_statistic,
-    weyl_check,
-)
+from checkerboard_rmt.analysis import bulk_moment_sweep, compare_blip_to_hollow, split_regimes, weighted_ks_statistic, weyl_check
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from checkerboard_rmt.moments import measure_moments
-from checkerboard_rmt.spectra import AtomicMeasure, BlipConfig, blip_measure, bulk_measure, eigensolve, hollow_eigenvalues
+from checkerboard_rmt.spectra import (
+    AtomicMeasure,
+    BlipConfig,
+    Spectrum,
+    blip_measure,
+    bulk_measure,
+    eigensolve,
+    hollow_eigenvalues,
+    trial_spectra,
+)
 
 from helpers import random_hermitian
 
@@ -60,6 +61,12 @@ def test_split_exponent_validation():
     spectrum = eigensolve(congruence_indicator_matrix(12, 3, 1.0))
     with pytest.raises(ParameterError):
         split_regimes(spectrum, 3, 1.0, 0.4)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_split_refuses_k_outside_one_to_n(k):
+    with pytest.raises(ParameterError, match=f"need 1 <= k <= dim, got k={k}, dim=4"):
+        split_regimes(Spectrum(np.arange(4.0)), k, 1.0)
 
 
 def test_weyl_zero_perturbation():
@@ -107,34 +114,40 @@ def test_weyl_dimension_mismatch():
 
 
 def test_divergence_probe_with_stripe():
-    report = bulk_divergence_probe(2, 4, [64, 128, 256], trials=30, seed=0)
-    assert 0.6 <= report.slope <= 1.4
-    assert report.estimates[0] < report.estimates[-1]
+    report = bulk_moment_sweep(2, 4, [64, 128, 256], 30, 1.0, seed=0)
+    assert 0.6 <= report.mean_slope <= 1.4
+    assert report.means[0] < report.means[-1]
+    assert 0.0 < report.mean_slope_se < 0.1
 
 
 def test_divergence_probe_without_stripe_flat():
-    report = bulk_divergence_probe(2, 4, [64, 128, 256], trials=30, seed=0, w=0.0)
-    assert abs(report.slope) < 0.2
-
-
-def test_divergence_probe_rejects_low_order():
-    with pytest.raises(ParameterError):
-        bulk_divergence_probe(2, 2, [64, 128])
+    report = bulk_moment_sweep(2, 4, [64, 128, 256], 30, 0.0, seed=0)
+    assert abs(report.mean_slope) < 0.2
 
 
 def test_variance_decay_slope():
-    report = variance_decay_probe(2, 2, [64, 128], trials=60, seed=0)
-    assert report.slope < -1.0
+    report = bulk_moment_sweep(2, 2, [64, 128], 60, 0.0, seed=0)
+    assert report.variance_slope < -1.0
+    assert np.isnan(report.mean_slope_se)  # two sizes leave no residual
 
 
 def test_variance_decay_zero_order_is_deterministic():
-    report = variance_decay_probe(2, 0, [32, 64], trials=25, seed=0)
+    report = bulk_moment_sweep(2, 0, [32, 64], 25, 0.0, seed=0)
     assert report.variances == (0.0, 0.0)
+    assert report.means == (1.0, 1.0)
+    assert np.isnan(report.variance_slope)  # a zero variance has no logarithm, and no warning is raised
+    assert report.mean_slope == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sweep_slope_of_an_odd_moment_is_nan():
+    report = bulk_moment_sweep(2, 3, [16, 24, 32], 20, 0.0, seed=1)
+    assert min(report.means) < 0.0
+    assert np.isnan(report.mean_slope) and np.isnan(report.mean_slope_se)
 
 
 def test_variance_decay_warns_on_few_trials():
     with pytest.warns(StatisticalPowerWarning):
-        variance_decay_probe(2, 2, [32], trials=8, seed=0)
+        bulk_moment_sweep(2, 2, [32, 48], 8, 0.0, seed=0)
 
 
 def test_ks_identical_samples_zero():
@@ -146,6 +159,14 @@ def test_ks_identical_samples_zero():
 
 def test_ks_disjoint_samples_one():
     assert weighted_ks_statistic([0.0, 1.0], [0.5, 0.5], [10.0], [1.0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("w1", [[0.0, 0.0], [-0.5, 1.5], [1.0], []], ids=["zero-total", "negative", "short", "empty"])
+def test_ks_refuses_weights_without_a_distribution(w1):
+    with pytest.raises(ParameterError, match="KS weights must match"):
+        weighted_ks_statistic([0.0, 1.0], w1, [0.5], [1.0])
+    with pytest.raises(ParameterError, match="KS weights must match"):
+        weighted_ks_statistic([0.5], [1.0], [0.0, 1.0], w1)
 
 
 def test_compare_rejects_empty():
@@ -193,61 +214,54 @@ def test_uncentered_blip_mean_near_limit():
 
 
 def test_blip_moment_fluctuations_stay_bounded():
-    report = blip_moment_fluctuation_probe(2, 2, [200, 400, 600], trials=30, r=2, seed=6)
-    values = np.array(report.central_moments)
+    # the spread of the per-matrix second blip moment does not grow with N;
+    # size idx draws trials idx*30 .. (idx+1)*30 - 1
+    trials, values = 30, []
+    for idx, dim in enumerate((200, 400, 600)):
+        cfg = BlipConfig.for_dimension(dim, 2)
+        spectra = trial_spectra(CheckerboardParams(dim=dim, k=2, w=1.0, seed=6), range(idx * trials, (idx + 1) * trials))
+        m2 = np.array([measure_moments(blip_measure(s, 2, cfg), 2)[2] for s in spectra])
+        values.append(float(np.mean((m2 - m2.mean()) ** 2)))
+    values = np.array(values)
     assert np.all(values > 0.0)
     assert values.max() <= 4.0 * values.min()
 
 
-def _serial_samples(k, sizes, trials, seed, w, statistic):
-    """Per size at position idx, statistic over trials idx*trials .. (idx+1)*trials - 1, solved one by one."""
-    samples = []
-    for idx, dim in enumerate(sizes):
-        params = CheckerboardParams(dim=dim, k=k, w=w, seed=seed)
-        trial_range = range(idx * trials, (idx + 1) * trials)
-        samples.append(np.array([statistic(eigensolve(sample_checkerboard(params, t))) for t in trial_range]))
-    return samples
-
-
 def test_probes_equal_serial_trial_blocks():
-    sizes = (16, 24, 30)
-
-    def bulk4(spectrum):
-        return measure_moments(bulk_measure(spectrum), 4)[4]
-
-    growth = bulk_divergence_probe(2, 4, sizes, trials=3, seed=5, w=1.5)
-    expected = _serial_samples(2, sizes, 3, 5, 1.5, bulk4)
-    assert growth.estimates == tuple(float(s.mean()) for s in expected)
-    assert growth.stderrs == tuple(float(s.std(ddof=1) / np.sqrt(3)) for s in expected)
-
-    decay = variance_decay_probe(2, 4, sizes, trials=20, seed=5)
-    expected = _serial_samples(2, sizes, 20, 5, 0.0, bulk4)
-    assert decay.variances == tuple(float(s.var(ddof=1)) for s in expected)
-    assert decay.means == tuple(float(s.mean()) for s in expected)
-
-    def blip2(spectrum):
-        cfg = BlipConfig.for_dimension(spectrum.source_dimension, 2)
-        return measure_moments(blip_measure(spectrum, 2, cfg), 2)[2]
-
-    fluctuation = blip_moment_fluctuation_probe(2, 2, sizes, trials=4, r=3, seed=5)
-    expected = _serial_samples(2, sizes, 4, 5, 1.0, blip2)
-    assert fluctuation.central_moments == tuple(float(np.mean((s - s.mean()) ** 3)) for s in expected)
+    sizes, trials = (16, 24, 30), 20
+    report = bulk_moment_sweep(2, 4, sizes, trials, 1.5, seed=5)
+    expected = []
+    for idx, dim in enumerate(sizes):
+        params = CheckerboardParams(dim=dim, k=2, w=1.5, seed=5)
+        matrices = (sample_checkerboard(params, t) for t in range(idx * trials, (idx + 1) * trials))
+        expected.append(np.array([measure_moments(bulk_measure(eigensolve(m)), 4)[4] for m in matrices]))
+    assert report.means == tuple(float(s.mean()) for s in expected)
+    assert report.stderrs == tuple(float(s.std(ddof=1) / np.sqrt(trials)) for s in expected)
+    assert report.variances == tuple(float(s.var(ddof=1)) for s in expected)
+    assert report.mean_slope == pytest.approx(np.polyfit(np.log(sizes), np.log(report.means), 1)[0], rel=1e-12)
+    assert report.variance_slope == pytest.approx(np.polyfit(np.log(sizes), np.log(report.variances), 1)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize(
-    "probe",
+    "probe, message",
     [
-        lambda: bulk_divergence_probe(2, 40, (16, 24), trials=3),
-        lambda: variance_decay_probe(2, 40, (16, 24), trials=20),
-        lambda: blip_moment_fluctuation_probe(2, 40, (16, 24), trials=3),
-        lambda: compare_blip_to_hollow(AtomicMeasure(np.array([0.0]), np.array([1.0])), np.zeros((1, 2)), max_m=40),
+        (lambda: bulk_moment_sweep(2, 40, (16, 24), 30, 1.0), "moment order cap is 32, got 40"),
+        (lambda: bulk_moment_sweep(2, 40, (16, 24), 20, 0.0), "moment order cap is 32, got 40"),
+        (
+            lambda: compare_blip_to_hollow(AtomicMeasure(np.array([0.0]), np.array([1.0])), np.zeros((1, 2)), max_m=40),
+            "moment order cap is 32, got 40",
+        ),
+        (lambda: bulk_moment_sweep(2, 4, [32], 30, 1.0), "two distinct sizes"),
+        (lambda: bulk_moment_sweep(2, 4, [32, 32, 32], 30, 1.0), "two distinct sizes"),
+        (lambda: bulk_moment_sweep(2, 4, [32, 64], 1, 1.0), "two trials"),
+        (lambda: bulk_moment_sweep(3, 4, [300, 2], 30, 1.0), "need 1 <= k <= dim, got k=3, dim=2"),
     ],
-    ids=["bulk-divergence", "variance-decay", "blip-fluctuation", "compare"],
+    ids=["bulk-divergence", "variance-decay", "compare", "one-size", "repeated-size", "one-trial", "size-below-k"],
 )
-def test_probes_refuse_a_bad_order_before_drawing(probe, monkeypatch):
+def test_probes_refuse_a_bad_order_before_drawing(probe, message, monkeypatch):
     def no_draw(*args, **kwargs):
-        raise AssertionError("drew before refusing the moment order")
+        raise AssertionError("drew before refusing the input")
 
     monkeypatch.setattr(analysis, "trial_spectra", no_draw)
-    with pytest.raises(ParameterError, match="moment order cap is 32, got 40"):
+    with pytest.raises(ParameterError, match=message):
         probe()
