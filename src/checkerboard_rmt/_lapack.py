@@ -4,9 +4,10 @@
 `zheevd_2stage` (dense to band with level-3 kernels, then bulge chasing to
 tridiagonal; Haidar, Ltaief & Dongarra, SC'11) is faster on large complex
 grids, and the ILP64 OpenBLAS inside numpy's wheels exports it through
-LAPACKE.  `eigvalsh` sends a single complex grid of order at least
-`TWO_STAGE_MIN_ORDER` there and everything else to numpy.  Where the solver
-is not found (another platform, MKL, an LP64 build), numpy solves every grid.
+LAPACKE.  `spectra` sends a single complex grid of order at least
+`TWO_STAGE_MIN_ORDER` to `eigvalsh_upper`, which hands the solver only the
+triangle it reads, and everything else to numpy.  Where the solver is not
+found (another platform, MKL, an LP64 build), numpy solves every grid.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import mmap
 import os
 
 import numpy as np
@@ -60,22 +62,31 @@ def two_stage_solver():
     return None
 
 
-def eigvalsh(grid: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian grid, or of each grid in a stack, as `numpy.linalg.eigvalsh` gives them.
+def copy_upper(grid: np.ndarray, out: np.ndarray) -> None:
+    """Copy the C-order upper triangle of a square grid, diagonal included, into `out`, one row at a time."""
+    for i in range(len(grid)):
+        out[i, i:] = grid[i, i:]
 
-    A single complex grid of order at least `TWO_STAGE_MIN_ORDER` is solved by
-    `zheevd_2stage` where `two_stage_solver` finds it.  Its eigenvalues agree
-    with numpy's to rounding, not bit for bit.  A nonzero LAPACK info is
-    raised as `numpy.linalg.LinAlgError`, as numpy raises it.
+
+def eigvalsh_upper(order: int, write_upper) -> np.ndarray:
+    """Ascending eigenvalues, by `zheevd_2stage`, of the Hermitian grid whose upper triangle `write_upper(out)` writes.
+
+    `out` is a fresh (order, order) complex array in private anonymous
+    memory, and `write_upper` fills its C-order upper triangle, diagonal
+    included: the triangle LAPACK reads, as it reads a C-order array column
+    by column with uplo 'L', and so solves conj(grid), which has the same
+    spectrum.  Pages of the other triangle that nothing touches never become
+    resident.  LAPACK overwrites the buffer, which is unmapped when this
+    returns.  The eigenvalues agree with numpy's to rounding, not bit for
+    bit.  A nonzero LAPACK info is raised as `numpy.linalg.LinAlgError`, as
+    numpy raises it.
     """
-    large = grid.ndim == 2 and grid.dtype == np.complex128 and len(grid) >= TWO_STAGE_MIN_ORDER
-    solver = two_stage_solver() if large else None
-    if solver is None:
-        return np.linalg.eigvalsh(grid)
-    order = len(grid)
-    # LAPACK overwrites its input.  It reads this C-order copy column by column, so it solves the
-    # transpose, conj(grid), which has the same spectrum.
-    work = np.array(grid, order="C")
+    solver = two_stage_solver()
+    buffer = mmap.mmap(-1, order * order * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # a transparent huge page would make whole 2 MiB runs of rows resident
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    work = np.frombuffer(buffer, dtype=complex).reshape(order, order)
+    write_upper(work)
     vals = np.empty(order)
     info = solver(_COL_MAJOR, b"N", b"L", order, work.ctypes.data, order, vals.ctypes.data)
     if info != 0:

@@ -1,11 +1,11 @@
 """Scalar and matrix arithmetic over the real, complex, and quaternion algebras.
 
 Quaternion values are read as arrays with a trailing axis of length 4 holding
-the components (real, i, j, k).  A quaternion matrix is held as its standard
-embedding into a 2N x 2N complex matrix, which is what the eigensolver takes;
-its (N, N, 4) components are a read-only view of the embedding's even rows.
-Only the arithmetic needed to build and diagonalize self-adjoint matrices is
-implemented.
+the components (real, i, j, k).  A quaternion matrix holds its (N, N, 4)
+components; the eigensolver takes their standard embedding into a 2N x 2N
+complex matrix, written whole by `embed_quaternion_blocks` or one triangle at
+a time by `embed_quaternion_upper`.  Only the arithmetic needed to build and
+diagonalize self-adjoint matrices is implemented.
 """
 
 from __future__ import annotations
@@ -79,16 +79,14 @@ def _is_self_adjoint(data: np.ndarray, algebra: DivisionAlgebra) -> bool:
 class HermitianMatrix:
     """Dense self-adjoint matrix over a division algebra.
 
-    Storage: (N, N) float64 for real and (N, N) complex128 for complex, held
-    as `data`.  A quaternion matrix holds its (2N, 2N) complex embedding,
-    built from the caller's (N, N, 4) components, as `grid`; its `data` is
-    the (N, N, 4) float64 component array, a read-only view of the
-    embedding's even rows, and never the caller's array.  Construction checks
+    Storage, held as `data`: (N, N) float64 for real, (N, N) complex128 for
+    complex, and for quaternion the (N, N, 4) float64 components, a read-only
+    copy of the caller's array.  Construction checks
     ``entries[i][j] == conj(entries[j][i])`` to exact equality, which also
     forces the diagonal to have vanishing imaginary components.
     """
 
-    __slots__ = ("data", "algebra", "_grid")
+    __slots__ = ("data", "algebra")
 
     def __init__(self, data: np.ndarray, algebra: "DivisionAlgebra | str"):
         algebra = DivisionAlgebra.parse(algebra)
@@ -103,22 +101,15 @@ class HermitianMatrix:
                 raise DimensionError(f"matrix needs a square shape, got {data.shape}")
         if not _is_self_adjoint(data, algebra):
             raise HermitianInvariantError("matrix is not exactly self-adjoint")
-        # embedded after the check, so the check's temporaries never sit beside the embedding
-        grid = data
         if algebra is DivisionAlgebra.QUATERNION:
-            grid = embed_quaternion_blocks(data)
-            grid.flags.writeable = False
-            data = _block_rows(grid)[0::2]
-        self.data, self.algebra, self._grid = data, algebra, grid
+            # copied after the check, so the check's temporaries never sit beside the copy
+            data = data.copy()
+            data.flags.writeable = False
+        self.data, self.algebra = data, algebra
 
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def grid(self) -> np.ndarray:
-        """What the eigensolver takes: `data`, or the complex embedding of a quaternion matrix."""
-        return self._grid
 
     def trace(self) -> float:
         """Real trace (the diagonal of a self-adjoint matrix is real)."""
@@ -166,3 +157,24 @@ def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
         else:
             odd[...] = even
     return out
+
+
+def embed_quaternion_upper(comps: np.ndarray, out: np.ndarray) -> None:
+    """Write the C-order upper triangle, diagonal included, of `embed_quaternion_blocks(comps)` into `out`.
+
+    `comps` is one quaternion grid (N, N, 4) and `out` a (2N, 2N) complex
+    array.  Block row I fills its even row from block column I on and its odd
+    row from block column I + 1 on, plus the diagonal element (2I+1, 2I+1);
+    every slot takes the same value, bit for bit, as in the whole embedding,
+    and nothing of the strict lower triangle is written.
+    """
+    rows = _block_rows(out)
+    for i in range(len(comps)):
+        even, odd = rows[2 * i, i:], rows[2 * i + 1, i:]
+        even[...] = comps[i, i:]
+        for c, (slot, negated) in enumerate(_ODD_ROW):
+            start = 1 if slot < 2 else 0  # slots 0 and 1 of the odd row's first block are (2I+1, 2I), below the diagonal
+            if negated:
+                np.subtract(0.0, even[start:, c], out=odd[start:, slot])
+            else:
+                odd[start:, slot] = even[start:, c]

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._parallel import parallel_map, shared_empty
-from .algebra import DivisionAlgebra, HermitianMatrix
+from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK, _check_modulus
 from .exceptions import EnumerationBudgetError, ParameterError
 from .spectra import AtomicMeasure, BlipConfig
@@ -301,7 +301,7 @@ def _exact_power_traces(matrix: HermitianMatrix, max_power: int) -> list:
     sum_ij (A^ceil(p/2))_ij (A^floor(p/2))_ji, which takes no further product.
     """
     quaternion = matrix.algebra is DivisionAlgebra.QUATERNION
-    grid = matrix.grid
+    grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
     ratios = [
         [x.as_integer_ratio() for x in part.ravel().tolist()]
         for part in ((grid.real, grid.imag) if np.iscomplexobj(grid) else (grid,))

@@ -13,6 +13,7 @@ independent matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _lapack
 from ._parallel import parallel_map, shared_empty
-from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
+from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks, embed_quaternion_upper
 from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
@@ -114,19 +115,29 @@ class BlipConfig:
         return cls(n=n if n is not None else default_blip_half_degree(dim))
 
 
-def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
-    """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack.
+def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
+    """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack, given as `HermitianMatrix.data`.
 
-    A quaternion grid is given as its complex embedding, which the caller
-    already holds: a `HermitianMatrix` keeps it as `grid`, and
-    `hollow_eigenvalues` embeds each chunk once.  The doubled eigenvalue
-    pairs are checked (relative 1e-8) and collapsed.  A large single complex
-    grid goes to LAPACK's two-stage solver (`_lapack.eigvalsh`).
+    A quaternion grid is solved as its complex embedding, whose doubled
+    eigenvalue pairs are checked (relative 1e-8) and collapsed.  A single
+    complex grid or embedding of order at least `TWO_STAGE_MIN_ORDER` goes to
+    LAPACK's two-stage solver where it is bound (`_lapack.eigvalsh_upper`),
+    which is handed only the upper triangle; a quaternion matrix's is written
+    straight from its components.  numpy solves everything else, a
+    quaternion grid as its whole embedding, built here.
     """
+    quaternion = algebra is DivisionAlgebra.QUATERNION
+    order = 2 * data.shape[-2] if quaternion else data.shape[-1]
+    large = data.ndim == (3 if quaternion else 2) and algebra is not DivisionAlgebra.REAL and order >= _lapack.TWO_STAGE_MIN_ORDER
     try:
-        vals = _lapack.eigvalsh(grid)
+        if large and _lapack.two_stage_solver() is not None:  # bound at the first large solve
+            write_upper = embed_quaternion_upper if quaternion else _lapack.copy_upper
+            vals = _lapack.eigvalsh_upper(order, functools.partial(write_upper, data))
+        else:
+            vals = np.linalg.eigvalsh(embed_quaternion_blocks(data) if quaternion else data)
     except np.linalg.LinAlgError as exc:
-        raise EigensolveError(f"eigendecomposition failed for a {algebra.value} grid of shape {grid.shape}: {exc}") from exc
+        shape = (*data.shape[:-3], order, order) if quaternion else data.shape
+        raise EigensolveError(f"eigendecomposition failed for a {algebra.value} grid of shape {shape}: {exc}") from exc
     if algebra is not DivisionAlgebra.QUATERNION:
         return vals
     first, second = vals[..., 0::2], vals[..., 1::2]
@@ -144,7 +155,7 @@ def _eigenvalues(grid: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
 
 def eigensolve(matrix: HermitianMatrix) -> Spectrum:
     """Eigenvalues of a self-adjoint matrix, ascending, checked against its trace."""
-    vals = _eigenvalues(matrix.grid, matrix.algebra)
+    vals = _eigenvalues(matrix.data, matrix.algebra)
     # written so that a NaN or inf spectrum or trace fails the check, without a warning first
     with np.errstate(over="ignore", invalid="ignore"):
         total = vals.sum()
@@ -168,12 +179,11 @@ def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     eigs = shared_empty((trials, params.k))
-    quaternion = params.algebra is DivisionAlgebra.QUATERNION
 
     def solve(start: int) -> None:
         size = min(BATCH_CHUNK, trials - start)
         chunk = sample_hollow_chunk(params, start // BATCH_CHUNK, size)
-        eigs[start : start + size] = _eigenvalues(embed_quaternion_blocks(chunk) if quaternion else chunk, params.algebra)
+        eigs[start : start + size] = _eigenvalues(chunk, params.algebra)
 
     parallel_map(solve, range(0, trials, BATCH_CHUNK))
     return eigs

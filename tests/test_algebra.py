@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, conjugate_transpose, embed_quaternion_blocks
+from checkerboard_rmt.algebra import (
+    DivisionAlgebra,
+    HermitianMatrix,
+    conjugate_transpose,
+    embed_quaternion_blocks,
+    embed_quaternion_upper,
+)
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from checkerboard_rmt.exceptions import DimensionError, HermitianInvariantError
 
@@ -111,17 +117,27 @@ def _block_formula(comps):
     return out
 
 
+def _assert_upper_triangle_is_the_embeddings(comps):
+    """`embed_quaternion_upper` writes the whole embedding's upper triangle bit for bit, and nothing below it."""
+    whole = embed_quaternion_blocks(comps)
+    upper = np.full(whole.shape, complex(np.nan, np.nan))
+    embed_quaternion_upper(comps, upper)
+    above = np.triu(np.ones(whole.shape, dtype=bool))
+    assert upper[above].tobytes() == whole[above].tobytes()
+    assert np.isnan(upper[~above].view(float)).all()
+
+
 @pytest.mark.parametrize(
     "dim, k, w, dist",
     [(1, 1, 1.0, "normal"), (6, 2, 1.0, "normal"), (7, 3, 1.5, "rademacher"), (30, 5, 0.0, "normal"),
      (64, 7, 2.0, "rademacher"), (120, 2, -1.0, "normal")],
 )
-def test_held_embedding_is_the_block_formula(dim, k, w, dist):
+def test_held_components_embed_to_the_block_formula(dim, k, w, dist):
     sampled = sample_checkerboard(CheckerboardParams(dim, k, w, "quaternion", dist, seed=dim), 2)
     built = random_hermitian(np.random.default_rng(dim), dim, DivisionAlgebra.QUATERNION)
     for matrix in (sampled, built):
-        assert matrix.grid.tobytes() == _block_formula(matrix.data).tobytes()
-        assert np.shares_memory(matrix.data, matrix.grid)
+        assert embed_quaternion_blocks(matrix.data).tobytes() == _block_formula(matrix.data).tobytes()
+        _assert_upper_triangle_is_the_embeddings(matrix.data)
 
 
 def test_embedding_differs_from_the_block_formula_only_in_zero_signs():
@@ -130,10 +146,14 @@ def test_embedding_differs_from_the_block_formula_only_in_zero_signs():
     data[0, 0] = data[1, 1] = (1.0, 0.0, 0.0, 0.0)
     data[0, 1] = (0.5, -0.0, 0.0, -2.0)
     data[1, 0] = (0.5, 0.0, -0.0, 2.0)
-    held, formula = HermitianMatrix(data, DivisionAlgebra.QUATERNION).grid, _block_formula(data)
-    assert np.array_equal(held, formula)
-    differ = held.view(np.int64) != formula.view(np.int64)
-    assert differ.any() and np.all(held.view(float)[differ] == 0.0)
+    held = HermitianMatrix(data, DivisionAlgebra.QUATERNION).data
+    embedded, formula = embed_quaternion_blocks(held), _block_formula(data)
+    assert np.array_equal(embedded, formula)
+    differ = embedded.view(np.int64) != formula.view(np.int64)
+    assert differ.any() and np.all(embedded.view(float)[differ] == 0.0)
+    # the triangle writer keeps the embedding's zero signs, and its +0 and -0 diagonal imaginary parts
+    _assert_upper_triangle_is_the_embeddings(data)
+    _assert_upper_triangle_is_the_embeddings(-data)
 
 
 def test_embedding_of_a_stack_is_the_block_formula():
@@ -146,6 +166,7 @@ def test_quaternion_components_are_a_read_only_copy():
     m = HermitianMatrix(data, DivisionAlgebra.QUATERNION)
     assert m.data.shape == (3, 3, 4) and np.array_equal(m.data, data)
     assert not np.shares_memory(m.data, data)
+    assert m.data.flags.owndata and m.data.flags.c_contiguous  # the components alone, 32 N^2 bytes at rest
     with pytest.raises(ValueError, match="read-only"):
         m.data[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):

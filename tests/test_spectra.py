@@ -1,7 +1,10 @@
 """Eigensolution, the bulk and blip measures, and their averages."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -82,32 +85,60 @@ def test_quaternion_path_matches_embedding():
     assert np.allclose(direct, doubled[1::2], rtol=1e-8)
 
 
-def test_quaternion_eigensolve_solves_the_held_embedding():
-    # the matrix holds its 2N x 2N embedding (2.56 MB at N = 200); the solve builds no second one
-    matrix = sample_checkerboard(CheckerboardParams(dim=200, k=2, algebra="quaternion", seed=6), 0)
-    tracemalloc.start()
-    try:
-        eigensolve(matrix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert matrix.grid.nbytes == 2_560_000
-    assert peak < 0.1 * matrix.grid.nbytes
-
-
-def test_two_stage_solve_copies_the_held_embedding_once():
-    # LAPACK overwrites its input, so the two-stage path hands it one copy of the held grid, and no transposed one
+@pytest.mark.parametrize("algebra, dim", [("complex", 416), ("quaternion", 208), ("quaternion", 300)])
+def test_two_stage_solve_takes_the_upper_triangle_alone(algebra, dim, monkeypatch):
+    # LAPACK reads one triangle: handed only that, written from the components for a quaternion matrix with no
+    # whole embedding built, it gives the same bits as the whole grid copied into its buffer
     if _lapack.two_stage_solver() is None:
         pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
-    matrix = sample_checkerboard(CheckerboardParams(dim=208, k=2, algebra="quaternion", seed=6), 0)
-    tracemalloc.start()
-    try:
-        eigensolve(matrix)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(matrix.grid) == _lapack.TWO_STAGE_MIN_ORDER
-    assert matrix.grid.nbytes <= peak < 1.1 * matrix.grid.nbytes
+    matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
+    quaternion = algebra == "quaternion"
+    grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
+    whole = _lapack.eigvalsh_upper(len(grid), lambda out: np.copyto(out, grid))
+
+    def refuse(*args):
+        raise AssertionError("the two-stage path built a whole embedding")
+
+    monkeypatch.setattr(spectra, "embed_quaternion_blocks", refuse)
+    assert eigensolve(matrix).eigenvalues.tobytes() == (whole[0::2] if quaternion else whole).tobytes()
+
+
+_TRIAL_PEAK = """
+from checkerboard_rmt import _lapack
+from checkerboard_rmt.ensembles import CheckerboardParams, sample_checkerboard
+from checkerboard_rmt.spectra import eigensolve
+
+
+def peak():  # this process's own peak RSS in bytes; ru_maxrss would also hold the peak of the image exec replaced
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) * 1024
+
+
+eigensolve(sample_checkerboard(CheckerboardParams(dim=8, k=2, algebra="quaternion"), 0))
+assert _lapack.two_stage_solver() is not None
+warm = peak()
+eigensolve(sample_checkerboard(CheckerboardParams(dim=600, k=2, algebra="quaternion", seed=1), 0))
+print(warm, peak())
+"""
+
+
+def test_one_quaternion_trial_peaks_below_an_embedding_and_its_copy():
+    # One N = 600 quaternion trial in a fresh interpreter, measured from the warmed-up interpreter's peak RSS. Its
+    # (N, N, 4) components take 32 N^2 bytes (11 MiB). The trial peaked 2.8 times that above the warm peak here
+    # (31 MiB: the draws and the held copy at construction, then the copy and the touched triangle at the solve), and
+    # 4.4 times (49 MiB) when the matrix held its 64 N^2-byte embedding and LAPACK was handed a whole copy of it.
+    if _lapack.two_stage_solver() is None:
+        pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", _TRIAL_PEAK], env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    warm, solved = map(int, result.stdout.split())
+    components = 32 * 600**2
+    assert 2 * components <= solved - warm < 3.6 * components, f"{(solved - warm) / 2**20:.1f} MiB above the warm peak"
 
 
 # complex orders on both sides of TWO_STAGE_MIN_ORDER = 416; a quaternion matrix is solved as its order-2N embedding
@@ -128,9 +159,10 @@ def test_large_complex_grids_take_the_two_stage_solver(algebra, dim, bound, monk
     monkeypatch.setattr(_lapack, "two_stage_solver", lambda: spy if bound and solver is not None else None)
     matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
     quaternion = algebra == "quaternion"
-    numpy_vals = np.linalg.eigvalsh(matrix.grid)
+    grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
+    numpy_vals = np.linalg.eigvalsh(grid)
     expected = numpy_vals[0::2] if quaternion else numpy_vals
-    two_stage = bound and algebra != "real" and len(matrix.grid) >= _lapack.TWO_STAGE_MIN_ORDER
+    two_stage = bound and algebra != "real" and len(grid) >= _lapack.TWO_STAGE_MIN_ORDER
     if two_stage and solver is None:
         pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
     vals = eigensolve(matrix).eigenvalues
@@ -139,10 +171,10 @@ def test_large_complex_grids_take_the_two_stage_solver(algebra, dim, bound, monk
     else:
         assert np.array_equal(vals, expected)
     # a stack of grids, as a hollow chunk is, always goes to numpy
-    stack = np.stack([matrix.grid, matrix.grid])
-    stacked = np.linalg.eigvalsh(stack)
-    assert np.array_equal(_eigenvalues(stack, matrix.algebra), stacked[:, 0::2] if quaternion else stacked)
-    assert orders == ([len(matrix.grid)] if two_stage else [])
+    stacked = np.linalg.eigvalsh(np.stack([grid, grid]))
+    stack_vals = _eigenvalues(np.stack([matrix.data, matrix.data]), matrix.algebra)
+    assert np.array_equal(stack_vals, stacked[:, 0::2] if quaternion else stacked)
+    assert orders == ([len(grid)] if two_stage else [])
 
 
 @pytest.mark.parametrize("info", [1, -1010])
@@ -306,14 +338,15 @@ def test_non_finite_spectrum_is_rejected(algebra):
         eigensolve(matrix)
     if algebra == "quaternion":  # the Kramers check alone: the solver core has no trace check
         with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracyError):
-            _eigenvalues(matrix.grid[None], DivisionAlgebra.QUATERNION)
+            _eigenvalues(matrix.data[None], DivisionAlgebra.QUATERNION)
 
 
-def test_kramers_check_names_the_worst_pair():
-    # eigenvalues 0, 0.001, 5, 6: both pairs split, the second by far more relative to its scale
+def test_kramers_check_names_the_worst_pair(monkeypatch):
+    # an "embedding" with eigenvalues 0, 0.001, 5, 6: both pairs split, the second by far more relative to its scale
     grid = np.diag([0.0, 1e-3, 5.0, 6.0]).astype(complex)
+    monkeypatch.setattr(spectra, "embed_quaternion_blocks", lambda comps: grid)
     with pytest.raises(NumericalDegeneracyError, match=r"worst pair \(5\.0, 6\.0\)$"):
-        _eigenvalues(grid, DivisionAlgebra.QUATERNION)
+        _eigenvalues(np.zeros((2, 2, 4)), DivisionAlgebra.QUATERNION)
 
 
 def test_blip_shift_comes_from_the_spectrum():
