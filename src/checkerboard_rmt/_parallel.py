@@ -16,6 +16,7 @@ else one per core): every forked child starts its own BLAS thread pool.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import pickle
@@ -25,10 +26,12 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = ["worker_count", "contiguous_blocks", "shared_empty", "parallel_map"]
+__all__ = ["worker_count", "contiguous_blocks", "shared_empty", "private_empty", "parallel_map"]
 
 _ENV_VAR = "CHECKERBOARD_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+_HUGE_PAGE = 2 << 20  # bytes: the smallest array `private_empty` maps
 
 _mapping = False  # inside a mapped call, in the parent's own block or in a child: nested maps run serially
 
@@ -56,6 +59,28 @@ def shared_empty(shape) -> np.ndarray:
     """An uninitialized float array in anonymous shared memory: what a forked child writes into it, the parent reads."""
     buffer = mmap.mmap(-1, int(np.prod(shape)) * np.dtype(float).itemsize)
     return np.frombuffer(buffer, dtype=float).reshape(shape)
+
+
+def private_empty(shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized array for a process's own use, in a fresh private anonymous mapping if it takes at least
+    one 2 MiB huge page, else from `np.empty`.
+
+    A mapped array is unmapped when its last view goes, so it never stays resident in the malloc heap, and it
+    is advised onto transparent huge pages: it is meant to be written whole.  Where the mapping fails, `np.empty`
+    allocates it, or raises numpy's own MemoryError.
+    """
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    if size >= _HUGE_PAGE:
+        try:
+            buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        except (OSError, OverflowError):
+            pass
+        else:
+            if hasattr(mmap, "MADV_HUGEPAGE"):
+                buffer.madvise(mmap.MADV_HUGEPAGE)
+            return np.frombuffer(buffer, dtype=dtype).reshape(shape)
+    return np.empty(shape, dtype)
 
 
 def _run_child(fn, block, write_fd: int) -> None:

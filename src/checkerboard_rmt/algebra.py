@@ -23,6 +23,9 @@ __all__ = [
     "conjugate_transpose",
 ]
 
+# Rows of a grid assembled or checked at a time: whole-grid temporaries become (ROW_BLOCK, N) ones.
+ROW_BLOCK = 64
+
 
 class DivisionAlgebra(Enum):
     """Entry algebra of a matrix ensemble: reals, complexes, or quaternions."""
@@ -70,18 +73,33 @@ def conjugate_transpose(data: np.ndarray, algebra: "DivisionAlgebra | str") -> n
 
 
 def _is_self_adjoint(data: np.ndarray, algebra: DivisionAlgebra) -> bool:
-    """``entries[i][j] == conj(entries[j][i])`` exactly; quaternion grids are compared one component at a time."""
-    if algebra is not DivisionAlgebra.QUATERNION:
-        return np.array_equal(data, conjugate_transpose(data, algebra))
-    return all(np.array_equal(data[..., c], data[..., c].T if c == 0 else -data[..., c].T) for c in range(4))
+    """``entries[i][j] == conj(entries[j][i])`` exactly; quaternion grids are compared one component at a time.
+
+    Each block of ROW_BLOCK rows is compared with the columns up to its end,
+    which covers every pair (i, j) with j <= i; the condition on (j, i) is
+    the same.  No whole transpose is made.
+    """
+    for r0 in range(0, len(data), ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, len(data))
+        rows, cols = data[r0:r1, :r1], data[:r1, r0:r1].swapaxes(0, 1)
+        if algebra is DivisionAlgebra.COMPLEX:
+            cols = np.conj(cols)
+        if algebra is not DivisionAlgebra.QUATERNION:
+            equal = np.array_equal(rows, cols)
+        else:
+            equal = all(np.array_equal(rows[..., c], cols[..., c] if c == 0 else -cols[..., c]) for c in range(4))
+        if not equal:
+            return False
+    return True
 
 
 class HermitianMatrix:
     """Dense self-adjoint matrix over a division algebra.
 
     Storage, held as `data`: (N, N) float64 for real, (N, N) complex128 for
-    complex, and for quaternion the (N, N, 4) float64 components, a read-only
-    copy of the caller's array.  Construction checks
+    complex, and for quaternion the (N, N, 4) float64 components, as a
+    read-only view.  A caller's array of that dtype is held, not copied.
+    Construction checks
     ``entries[i][j] == conj(entries[j][i])`` to exact equality, which also
     forces the diagonal to have vanishing imaginary components.
     """
@@ -102,8 +120,7 @@ class HermitianMatrix:
         if not _is_self_adjoint(data, algebra):
             raise HermitianInvariantError("matrix is not exactly self-adjoint")
         if algebra is DivisionAlgebra.QUATERNION:
-            # copied after the check, so the check's temporaries never sit beside the copy
-            data = data.copy()
+            data = data.view()
             data.flags.writeable = False
         self.data, self.algebra = data, algebra
 

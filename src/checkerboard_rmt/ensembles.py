@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DivisionAlgebra, HermitianMatrix
+from ._parallel import private_empty
+from .algebra import ROW_BLOCK, DivisionAlgebra, HermitianMatrix
 from .exceptions import ParameterError
 
 __all__ = [
@@ -41,6 +42,8 @@ _MAX_TRIAL = 2**48
 # trial-pool item.  Part of the output contract: chunk j holds matrices
 # BATCH_CHUNK*j onwards, so changing it changes every hollow batch past its first chunk.
 BATCH_CHUNK = 1024
+# numpy's NPY_MIN_ELIDE_BYTES: `a + b` with b a temporary this large is evaluated in place as b += a
+_ELIDE_BYTES = 256 * 1024
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -52,10 +55,11 @@ def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
 
 
 def _component_draws(rng: np.random.Generator, distribution: str, shape: tuple) -> np.ndarray:
+    out = private_empty(shape)
     if distribution == "normal":
-        return rng.standard_normal(shape)
-    # Rademacher: fair +/-1 coin per real component.
-    return 2.0 * rng.integers(0, 2, size=shape).astype(float) - 1.0
+        return rng.standard_normal(out=out)
+    # Rademacher: fair +/-1 coin per real component, 2.0 * coin - 1.0.
+    return np.subtract(np.multiply(2.0, rng.integers(0, 2, size=shape), out=out), 1.0, out=out)
 
 
 def _check_modulus(dim: int, k: int) -> None:
@@ -112,27 +116,51 @@ def _set_congruent(data: np.ndarray, k: int, value) -> None:
         data[r::k, r::k] = value
 
 
+def _symmetrize(grid: np.ndarray, combine, conjugate: bool = False) -> None:
+    """Replace grids (..., N, N) by ``combine(U, U^T)`` in place, U = triu(grid, 1), ROW_BLOCK rows at a time.
+
+    With `conjugate`, U^T is conjugated.  Blocks go from the last up: block B
+    reads the rows up to its own end, which no block before it has written.
+    Left of B's diagonal tile U is zero, right of it U^T is, and each is
+    combined with the zero np.triu leaves, so only the tile makes a
+    temporary.
+    """
+    n = grid.shape[-1]
+    zero = np.zeros((), grid.dtype)
+    for r0 in reversed(range(0, n, ROW_BLOCK)):
+        r1 = min(r0 + ROW_BLOCK, n)
+        left, tile, right = grid[..., r0:r1, :r0], grid[..., r0:r1, r0:r1], grid[..., r0:r1, r1:]
+        mirror = grid[..., :r0, r0:r1].swapaxes(-1, -2)
+        combine(zero, np.conj(mirror, out=left) if conjugate else mirror, out=left)
+        upper = np.triu(tile, 1)
+        lower = upper.swapaxes(-1, -2)
+        combine(upper, np.conj(lower) if conjugate else lower, out=tile)
+        combine(right, np.conj(zero) if conjugate else zero, out=right)
+
+
 def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Assemble a self-adjoint grid from component draws, zero diagonal.
 
     ``comps`` has shape (components, [batch,] N, N); only the strict upper
     triangle of each draw is used, the lower triangle is its conjugate.  Real
     and quaternion sums go into the spent draws themselves, and a quaternion
-    grid is returned as their (..., N, N, 4) view.
+    grid is returned as their (..., N, N, 4) view; a complex grid is a new
+    array.
     """
     divisor = algebra.entry_divisor
     if algebra is DivisionAlgebra.REAL:
-        upper = np.triu(comps[0], 1)
-        return np.add(upper, upper.swapaxes(-1, -2), out=comps[0])
+        _symmetrize(comps[0], np.add)
+        return comps[0]
     if algebra is DivisionAlgebra.COMPLEX:
-        # one complex division by a float: dividing each part instead rounds differently
-        grid = np.divide(comps[0] + 1j * comps[1], divisor)
-        upper = np.triu(grid, 1)
-        np.conj(upper.swapaxes(-1, -2), out=grid)
-        return np.add(upper, grid, out=grid)
-    for c in range(4):
-        upper = np.triu(comps[c] / divisor, 1)
-        (np.add if c == 0 else np.subtract)(upper, upper.swapaxes(-1, -2), out=comps[c])
+        # (c0 + 1j * c1) / divisor, one complex division by a float: dividing each part instead rounds differently.
+        # numpy adds c0 into an elided temporary 1j * c1 of _ELIDE_BYTES or more: the order picks the NaN kept.
+        grid = np.multiply(1j, comps[1], out=private_empty(comps.shape[1:], complex))
+        np.add(*((grid, comps[0]) if grid.nbytes >= _ELIDE_BYTES else (comps[0], grid)), out=grid)
+        np.divide(grid, divisor, out=grid)
+        _symmetrize(grid, np.add, conjugate=True)
+        return grid
+    for part, combine in zip(comps, (np.add, np.subtract, np.subtract, np.subtract)):
+        _symmetrize(np.divide(part, divisor, out=part), combine)
     return np.moveaxis(comps, 0, -1)
 
 
@@ -140,8 +168,9 @@ def sample_checkerboard(params: CheckerboardParams, trial_index: int) -> Hermiti
     """Draw one checkerboard matrix; identical (params, trial_index) give identical output."""
     n, k = params.dim, params.k
     rng = _stream(params.seed, _DOMAIN_CHECKERBOARD, trial_index)
-    comps = _component_draws(rng, params.distribution, (params.algebra.components, n, n))
-    data = _hermitian_from_upper(comps, params.algebra)
+    shape = (params.algebra.components, n, n)
+    # no name holds the draws: a complex grid's spent draws are unmapped before the grid is checked
+    data = _hermitian_from_upper(_component_draws(rng, params.distribution, shape), params.algebra)
     quaternion = params.algebra is DivisionAlgebra.QUATERNION
     _set_congruent(data, k, (params.w, 0.0, 0.0, 0.0) if quaternion else params.w)
     return HermitianMatrix(data, params.algebra)

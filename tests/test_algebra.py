@@ -161,13 +161,43 @@ def test_embedding_of_a_stack_is_the_block_formula():
     assert embed_quaternion_blocks(chunk).tobytes() == _block_formula(chunk).tobytes()
 
 
-def test_quaternion_components_are_a_read_only_copy():
+def test_quaternion_components_are_a_read_only_view():
     data = random_hermitian(np.random.default_rng(4), 3, DivisionAlgebra.QUATERNION).data.copy()
     m = HermitianMatrix(data, DivisionAlgebra.QUATERNION)
     assert m.data.shape == (3, 3, 4) and np.array_equal(m.data, data)
-    assert not np.shares_memory(m.data, data)
-    assert m.data.flags.owndata and m.data.flags.c_contiguous  # the components alone, 32 N^2 bytes at rest
+    assert m.data.base is data  # the caller's storage, as a real or complex matrix holds it, not a copy
     with pytest.raises(ValueError, match="read-only"):
         m.data[0, 0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        sample_checkerboard(CheckerboardParams(4, 2, algebra="quaternion"), 0).data[1, 2] = 0.0
+    assert data.flags.writeable
+    # the sampler's matrix holds its spent draws, the (4, N, N) component planes, and nothing beside them: in an
+    # array from numpy below 2 MiB, in a private mapping above
+    for n in (4, 300):
+        sampled = sample_checkerboard(CheckerboardParams(n, 2, algebra="quaternion"), 0).data
+        assert sampled.strides == (8 * n, 8, 8 * n * n) and not sampled.flags.owndata
+        storage = sampled
+        while isinstance(storage.base, np.ndarray):
+            storage = storage.base
+        assert storage.nbytes == sampled.nbytes == 32 * n * n
+        with pytest.raises(ValueError, match="read-only"):
+            sampled[1, 2] = 0.0
+
+
+# N = 130 is checked in row blocks [0, 64), [64, 128) and the ragged [128, 130), each against the columns up to its
+# own end.  Each case breaks self-adjointness at one entry, which only one block reads: skipping it passes the grid.
+_ONE_BLOCK_FAULTS = {"ragged last block": (129, 3), "off-diagonal block": (100, 20), "diagonal NaN": (5, 5)}
+
+
+@pytest.mark.parametrize("fault", list(_ONE_BLOCK_FAULTS))
+@pytest.mark.parametrize("algebra", list(DivisionAlgebra), ids=[a.value for a in DivisionAlgebra])
+def test_self_adjoint_check_reads_every_row_block(algebra, fault):
+    data = random_hermitian(np.random.default_rng(130), 130, algebra).data.copy()
+    i, j = _ONE_BLOCK_FAULTS[fault]
+    HermitianMatrix(data, algebra)
+    if i == j:
+        data[i, j] = np.nan
+    elif algebra is DivisionAlgebra.QUATERNION:
+        data[i, j, 3] += 0.5
+    else:
+        data[i, j] += 0.5j if algebra is DivisionAlgebra.COMPLEX else 0.5
+    with pytest.raises(HermitianInvariantError):
+        HermitianMatrix(data, algebra)

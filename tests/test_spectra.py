@@ -124,9 +124,10 @@ print(warm, peak())
 
 def test_one_quaternion_trial_peaks_below_an_embedding_and_its_copy():
     # One N = 600 quaternion trial in a fresh interpreter, measured from the warmed-up interpreter's peak RSS. Its
-    # (N, N, 4) components take 32 N^2 bytes (11 MiB). The trial peaked 2.8 times that above the warm peak here
-    # (31 MiB: the draws and the held copy at construction, then the copy and the touched triangle at the solve), and
-    # 4.4 times (49 MiB) when the matrix held its 64 N^2-byte embedding and LAPACK was handed a whole copy of it.
+    # (N, N, 4) components take 32 N^2 bytes (11 MiB). The trial peaked 2.6 times that above the warm peak here
+    # (29 MiB: the components, then the touched triangle and LAPACK's workspace at the solve), 2.8 times (31 MiB) when
+    # the matrix held a copy of its draws, and 4.4 times (49 MiB) when it held its 64 N^2-byte embedding and LAPACK
+    # was handed a whole copy of it.
     if _lapack.two_stage_solver() is None:
         pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
     if not os.path.exists("/proc/self/status"):
