@@ -58,8 +58,13 @@ def _component_draws(rng: np.random.Generator, distribution: str, shape: tuple) 
     out = private_empty(shape)
     if distribution == "normal":
         return rng.standard_normal(out=out)
-    # Rademacher: fair +/-1 coin per real component, 2.0 * coin - 1.0.
-    return np.subtract(np.multiply(2.0, rng.integers(0, 2, size=shape), out=out), 1.0, out=out)
+    # Rademacher: fair +/-1 coin per real component, 2.0 * coin - 1.0, ROW_BLOCK rows of coins at a time; the
+    # stream gives the same coins in blocks as in one call
+    rows = out.reshape(-1, shape[-1])
+    for r0 in range(0, len(rows), ROW_BLOCK):
+        block = rows[r0:r0 + ROW_BLOCK]
+        np.subtract(np.multiply(2.0, rng.integers(0, 2, size=block.shape), out=block), 1.0, out=block)
+    return out
 
 
 def _check_modulus(dim: int, k: int) -> None:

@@ -121,7 +121,7 @@ def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     A quaternion grid is solved as its complex embedding, whose doubled
     eigenvalue pairs are checked (relative 1e-8) and collapsed.  A single
     complex grid or embedding of order at least `TWO_STAGE_MIN_ORDER` goes to
-    LAPACK's two-stage solver where it is bound (`_lapack.eigvalsh_upper`),
+    LAPACK's two-stage reduction where it is bound (`_lapack.eigvalsh_upper`),
     which is handed only the upper triangle; a quaternion matrix's is written
     straight from its components.  numpy solves everything else, a
     quaternion grid as its whole embedding, built here.
@@ -130,7 +130,7 @@ def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     order = 2 * data.shape[-2] if quaternion else data.shape[-1]
     large = data.ndim == (3 if quaternion else 2) and algebra is not DivisionAlgebra.REAL and order >= _lapack.TWO_STAGE_MIN_ORDER
     try:
-        if large and _lapack.two_stage_solver() is not None:  # bound at the first large solve
+        if large and _lapack.two_stage_routines() is not None:  # bound at the first large solve
             write_upper = embed_quaternion_upper if quaternion else _lapack.copy_upper
             vals = _lapack.eigvalsh_upper(order, functools.partial(write_upper, data))
         else:

@@ -272,9 +272,10 @@ def peak():  # this process's own peak RSS in bytes; ru_maxrss would also hold t
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) * 1024
 
 
-sample_checkerboard(CheckerboardParams(dim=8, k=2, algebra=sys.argv[1]), 0)
+algebra, distribution = sys.argv[1:]
+sample_checkerboard(CheckerboardParams(dim=8, k=2, algebra=algebra, distribution=distribution), 0)
 warm = peak()
-matrix = sample_checkerboard(CheckerboardParams(dim=600, k=2, algebra=sys.argv[1], seed=1), 0)
+matrix = sample_checkerboard(CheckerboardParams(dim=600, k=2, algebra=algebra, distribution=distribution, seed=1), 0)
 print(warm, peak(), matrix.data.nbytes)
 """
 
@@ -283,14 +284,16 @@ print(warm, peak(), matrix.data.nbytes)
 def test_one_trial_is_sampled_in_little_more_than_its_grid(algebra, bound):
     # One N = 600 trial sampled in a fresh interpreter, measured from the warmed-up interpreter's peak RSS, in grids of
     # 8, 16 and 32 N^2 bytes.  Real and quaternion grids are assembled in their draws, a complex one beside them.  The
-    # peak grew 1.04, 2.05 and 1.03 grids here, and 2.09, 4.06 and 2.27 when whole-grid temporaries came from the heap
-    # and a quaternion matrix held a copy of its grid.
+    # peak grew 1.04, 2.01 and 1.02 grids here for normal draws and 1.06, 2.03 and 1.02 for Rademacher signs; 2.09,
+    # 4.06 and 2.27 when whole-grid temporaries came from the heap and a quaternion matrix held a copy of its grid; and
+    # 2.00, 2.02 and 1.99 for Rademacher signs drawn as one int64 array beside the draws.
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read the peak RSS from")
     src = os.path.dirname(os.path.dirname(ensembles.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", _SAMPLE_PEAK, algebra], env=env, capture_output=True, text=True,
-                            timeout=300)
-    assert result.returncode == 0, result.stderr
-    warm, sampled, grid = map(int, result.stdout.split())
-    assert sampled - warm < bound * grid, f"{(sampled - warm) / grid:.2f} grids above the warm peak"
+    for distribution in ("normal", "rademacher"):
+        result = subprocess.run([sys.executable, "-c", _SAMPLE_PEAK, algebra, distribution], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        warm, sampled, grid = map(int, result.stdout.split())
+        assert sampled - warm < bound * grid, f"{distribution}: {(sampled - warm) / grid:.2f} grids above the warm peak"

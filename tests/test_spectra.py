@@ -1,6 +1,7 @@
 """Eigensolution, the bulk and blip measures, and their averages."""
 
 import math
+import mmap
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from checkerboard_rmt import _lapack, spectra
-from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks, embed_quaternion_upper
 from checkerboard_rmt.cli import main
 from checkerboard_rmt.ensembles import (
     BATCH_CHUNK,
@@ -85,12 +86,16 @@ def test_quaternion_path_matches_embedding():
     assert np.allclose(direct, doubled[1::2], rtol=1e-8)
 
 
+def _skip_unless_bound():
+    if _lapack.two_stage_routines() is None:
+        pytest.skip("numpy's BLAS exports no ILP64 zhetrd_he2hb, zhetrd_hb2st and dsterf")
+
+
 @pytest.mark.parametrize("algebra, dim", [("complex", 416), ("quaternion", 208), ("quaternion", 300)])
 def test_two_stage_solve_takes_the_upper_triangle_alone(algebra, dim, monkeypatch):
     # LAPACK reads one triangle: handed only that, written from the components for a quaternion matrix with no
     # whole embedding built, it gives the same bits as the whole grid copied into its buffer
-    if _lapack.two_stage_solver() is None:
-        pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
+    _skip_unless_bound()
     matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
     quaternion = algebra == "quaternion"
     grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
@@ -101,6 +106,40 @@ def test_two_stage_solve_takes_the_upper_triangle_alone(algebra, dim, monkeypatc
 
     monkeypatch.setattr(spectra, "embed_quaternion_blocks", refuse)
     assert eigensolve(matrix).eigenvalues.tobytes() == (whole[0::2] if quaternion else whole).tobytes()
+
+
+@pytest.mark.parametrize("algebra, dim", [("complex", 416), ("complex", 600), ("quaternion", 208)])
+def test_two_stage_triangle_rows_start_on_pages(algebra, dim):
+    # row i of the C-order triangle, LAPACK's column i from the diagonal down, starts on a page for every i, and the
+    # triangle written through the strided view is the one LAPACK solves
+    _skip_unless_bound()
+    matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
+    quaternion = algebra == "quaternion"
+    order = 2 * dim if quaternion else dim
+
+    def write_upper(out):
+        assert out.shape == (order, order) and out.strides[1] == 16
+        lda = out.strides[0] // 16
+        assert lda >= order
+        assert all((out.ctypes.data + 16 * i * (lda + 1)) % mmap.PAGESIZE == 0 for i in range(order))
+        (embed_quaternion_upper if quaternion else _lapack.copy_upper)(matrix.data, out)
+
+    vals = _lapack.eigvalsh_upper(order, write_upper)
+    expected = np.linalg.eigvalsh(embed_quaternion_blocks(matrix.data) if quaternion else matrix.data)
+    assert np.abs(vals - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("scale", [1e250, 1e-250])
+@pytest.mark.parametrize("algebra, dim", [("complex", 416), ("quaternion", 208)])
+def test_two_stage_solve_holds_at_extreme_scales(algebra, dim, scale):
+    # the stages run unscaled, where zheevd_2stage would scale a grid whose largest entry is near under- or overflow
+    _skip_unless_bound()
+    data = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0).data * scale
+    quaternion = algebra == "quaternion"
+    expected = np.linalg.eigvalsh(embed_quaternion_blocks(data) if quaternion else data)
+    expected = expected[0::2] if quaternion else expected
+    vals = eigensolve(HermitianMatrix(data, algebra)).eigenvalues
+    assert np.abs(vals - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 _TRIAL_PEAK = """
@@ -115,7 +154,7 @@ def peak():  # this process's own peak RSS in bytes; ru_maxrss would also hold t
 
 
 eigensolve(sample_checkerboard(CheckerboardParams(dim=8, k=2, algebra="quaternion"), 0))
-assert _lapack.two_stage_solver() is not None
+assert _lapack.two_stage_routines() is not None
 warm = peak()
 eigensolve(sample_checkerboard(CheckerboardParams(dim=600, k=2, algebra="quaternion", seed=1), 0))
 print(warm, peak())
@@ -124,12 +163,11 @@ print(warm, peak())
 
 def test_one_quaternion_trial_peaks_below_an_embedding_and_its_copy():
     # One N = 600 quaternion trial in a fresh interpreter, measured from the warmed-up interpreter's peak RSS. Its
-    # (N, N, 4) components take 32 N^2 bytes (11 MiB). The trial peaked 2.6 times that above the warm peak here
-    # (29 MiB: the components, then the touched triangle and LAPACK's workspace at the solve), 2.8 times (31 MiB) when
-    # the matrix held a copy of its draws, and 4.4 times (49 MiB) when it held its 64 N^2-byte embedding and LAPACK
-    # was handed a whole copy of it.
-    if _lapack.two_stage_solver() is None:
-        pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
+    # (N, N, 4) components take 32 N^2 bytes (11 MiB). The trial peaked 2.49 times that above the warm peak here
+    # (27.3 MiB: the components, then the touched triangle, its rows starting on pages, and stage 1's workspace),
+    # 2.65 times (29.1 MiB) when the triangle's rows sat 2N apart, 2.8 times (31 MiB) when the matrix held a copy of
+    # its draws, and 4.4 times (49 MiB) when it held its 64 N^2-byte embedding and LAPACK was handed a whole copy of it.
+    _skip_unless_bound()
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read the peak RSS from")
     src = os.path.dirname(os.path.dirname(spectra.__file__))
@@ -139,7 +177,7 @@ def test_one_quaternion_trial_peaks_below_an_embedding_and_its_copy():
     assert result.returncode == 0, result.stderr
     warm, solved = map(int, result.stdout.split())
     components = 32 * 600**2
-    assert 2 * components <= solved - warm < 3.6 * components, f"{(solved - warm) / 2**20:.1f} MiB above the warm peak"
+    assert 2 * components <= solved - warm < 2.6 * components, f"{(solved - warm) / 2**20:.1f} MiB above the warm peak"
 
 
 # complex orders on both sides of TWO_STAGE_MIN_ORDER = 416; a quaternion matrix is solved as its order-2N embedding
@@ -150,24 +188,23 @@ def test_one_quaternion_trial_peaks_below_an_embedding_and_its_copy():
 )
 @pytest.mark.parametrize("bound", [True, False], ids=["bound", "unbound"])
 def test_large_complex_grids_take_the_two_stage_solver(algebra, dim, bound, monkeypatch):
-    solver = _lapack.two_stage_solver()
+    stages = _lapack.two_stage_routines()
     orders = []
 
-    def spy(*args):
-        orders.append(args[3])
-        return solver(*args)
+    def spy(*args):  # stage 1 is called twice per solve: its workspace query, then the reduction
+        orders.append(args[1])
+        return stages.zhetrd_he2hb(*args)
 
-    monkeypatch.setattr(_lapack, "two_stage_solver", lambda: spy if bound and solver is not None else None)
+    bound = bound and stages is not None
+    monkeypatch.setattr(_lapack, "two_stage_routines", lambda: stages._replace(zhetrd_he2hb=spy) if bound else None)
     matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
     quaternion = algebra == "quaternion"
     grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
     numpy_vals = np.linalg.eigvalsh(grid)
     expected = numpy_vals[0::2] if quaternion else numpy_vals
-    two_stage = bound and algebra != "real" and len(grid) >= _lapack.TWO_STAGE_MIN_ORDER
-    if two_stage and solver is None:
-        pytest.skip("numpy's BLAS exports no ILP64 zheevd_2stage")
+    two_stage = algebra != "real" and len(grid) >= _lapack.TWO_STAGE_MIN_ORDER
     vals = eigensolve(matrix).eigenvalues
-    if two_stage:
+    if two_stage and bound:
         assert np.abs(vals - expected).max() <= 1e-12 * np.abs(expected).max()
     else:
         assert np.array_equal(vals, expected)
@@ -175,22 +212,28 @@ def test_large_complex_grids_take_the_two_stage_solver(algebra, dim, bound, monk
     stacked = np.linalg.eigvalsh(np.stack([grid, grid]))
     stack_vals = _eigenvalues(np.stack([matrix.data, matrix.data]), matrix.algebra)
     assert np.array_equal(stack_vals, stacked[:, 0::2] if quaternion else stacked)
-    assert orders == ([len(grid)] if two_stage else [])
+    assert orders == ([len(grid)] * 2 if two_stage and bound else [])
 
 
 @pytest.mark.parametrize("info", [1, -1010])
 @pytest.mark.parametrize("algebra, dim", [("complex", 416), ("quaternion", 208)])
 def test_failed_two_stage_solve_is_an_eigensolve_error(algebra, dim, info, tmp_path, capsys, monkeypatch):
+    # each stage in turn reports the info, the stages before it running for real
+    _skip_unless_bound()
     monkeypatch.setenv("CHECKERBOARD_THREADS", "1")
-    monkeypatch.setattr(_lapack, "two_stage_solver", lambda: lambda *args: info)
+    stages = _lapack.two_stage_routines()
     order = 2 * dim if algebra == "quaternion" else dim
-    message = f"eigendecomposition failed for a {algebra} grid of shape ({order}, {order}): zheevd_2stage returned info={info}"
-    with pytest.raises(EigensolveError, match=re.escape(message)):
-        eigensolve(sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra), 0))
-    out = tmp_path / "x"
-    assert main(["sample", "--k", "2", "--N", str(dim), "--trials", "1", "--algebra", algebra, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
+    for name in stages._fields:
+        failing = stages._replace(**{name: lambda *args: info})
+        monkeypatch.setattr(_lapack, "two_stage_routines", lambda: failing)
+        message = f"eigendecomposition failed for a {algebra} grid of shape ({order}, {order}): {name} returned info={info}"
+        with pytest.raises(EigensolveError, match=re.escape(message)):
+            eigensolve(sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra), 0))
+        out = tmp_path / name
+        argv = ["sample", "--k", "2", "--N", str(dim), "--trials", "1", "--algebra", algebra, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("algebra", ["real", "complex"])
