@@ -12,7 +12,7 @@ limits against exact combinatorial oracles.
 
 __version__ = "0.1.0"
 
-from .algebra import DivisionAlgebra, HermitianMatrix, conjugate_transpose
+from .algebra import DivisionAlgebra, HermitianMatrix
 from .ensembles import (
     CheckerboardParams,
     HollowParams,
@@ -47,18 +47,15 @@ from .analysis import (
     ComparisonReport,
     RegimeSplit,
     SweepReport,
-    WeylResult,
     bulk_moment_sweep,
     compare_blip_to_hollow,
     split_regimes,
-    weyl_check,
 )
 
 __all__ = [
     "__version__",
     "DivisionAlgebra",
     "HermitianMatrix",
-    "conjugate_transpose",
     "CheckerboardParams",
     "HollowParams",
     "congruence_indicator_matrix",
@@ -86,9 +83,7 @@ __all__ = [
     "ComparisonReport",
     "RegimeSplit",
     "SweepReport",
-    "WeylResult",
     "bulk_moment_sweep",
     "compare_blip_to_hollow",
     "split_regimes",
-    "weyl_check",
 ]

@@ -20,7 +20,6 @@ from .exceptions import AlgebraMismatchError, DimensionError, HermitianInvariant
 __all__ = [
     "DivisionAlgebra",
     "HermitianMatrix",
-    "conjugate_transpose",
 ]
 
 # Rows of a grid assembled or checked at a time: whole-grid temporaries become (ROW_BLOCK, N) ones.
@@ -52,24 +51,6 @@ class DivisionAlgebra(Enum):
             return cls(str(name).strip().lower())
         except ValueError:
             raise AlgebraMismatchError(f"unknown division algebra {name!r}; expected real, complex, or quaternion") from None
-
-
-def conjugate_transpose(data: np.ndarray, algebra: "DivisionAlgebra | str") -> np.ndarray:
-    """Conjugate transpose of a dense square grid over any of the three algebras.
-
-    Applying it twice returns the input exactly.
-    """
-    data = np.asarray(data)
-    algebra = DivisionAlgebra.parse(algebra)
-    if data.ndim < 2 or data.shape[0] != data.shape[1]:
-        raise DimensionError(f"conjugate transpose requires a square matrix, got shape {data.shape}")
-    if algebra is DivisionAlgebra.REAL:
-        return np.ascontiguousarray(data.T)
-    if algebra is DivisionAlgebra.COMPLEX:
-        return np.ascontiguousarray(data.conj().T)
-    out = np.swapaxes(data, 0, 1).copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
 
 
 def _is_self_adjoint(data: np.ndarray, algebra: DivisionAlgebra) -> bool:

@@ -1,11 +1,10 @@
-"""Statistical verification: regime splitting, perturbation bounds, the bulk size sweep.
+"""Statistical verification: regime splitting, the bulk size sweep, the blip comparison.
 
 Checkerboard matrices split into a bulk of N-k eigenvalues of order sqrt(N)
-and k outliers near N*w/k.  This module measures that split, the Weyl
-perturbation bound underlying it, the growth of the bulk moments' means and
-the decay of their variances across N (one sweep, `bulk_moment_sweep`), and
-the distributional match between centered blip samples and hollow Gaussian
-ensembles.
+and k outliers near N*w/k.  This module measures that split, the growth of
+the bulk moments' means and the decay of their variances across N (one
+sweep, `bulk_moment_sweep`), and the distributional match between centered
+blip samples and hollow Gaussian ensembles.
 """
 
 from __future__ import annotations
@@ -16,19 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import HermitianMatrix
 from .ensembles import CheckerboardParams, _check_modulus
-from .exceptions import AlgebraMismatchError, DimensionError, ParameterError, RegimeOverlapError, StatisticalPowerWarning
+from .exceptions import ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from .moments import _check_max_m, hollow_moments, measure_moments
-from .spectra import AtomicMeasure, Spectrum, bulk_measure, eigensolve, trial_spectra
+from .spectra import AtomicMeasure, Spectrum, bulk_measure, trial_spectra
 
 __all__ = [
     "RegimeSplit",
-    "WeylResult",
     "SweepReport",
     "ComparisonReport",
     "split_regimes",
-    "weyl_check",
     "bulk_moment_sweep",
     "compare_blip_to_hollow",
     "weighted_ks_statistic",
@@ -74,29 +70,6 @@ def split_regimes(spectrum: Spectrum, k: int, w: float, exponent: float = 0.65) 
             f"(threshold {threshold:.3f}, target {target:.3f}); offenders: {offenders[:8]}"
         )
     return RegimeSplit(lam[in_blip], lam[in_bulk], threshold, target)
-
-
-@dataclass(frozen=True)
-class WeylResult:
-    """Outcome of the eigenvalue perturbation bound |l_j(H+P) - l_j(H)| <= ||P||_op."""
-
-    passed: bool
-    max_deviation: float
-    operator_norm: float
-
-
-def weyl_check(h: HermitianMatrix, p: HermitianMatrix, tol: float = 1e-8) -> WeylResult:
-    """Verify the perturbation bound for one pair; max_deviation is the worst slack."""
-    if h.algebra is not p.algebra:
-        raise AlgebraMismatchError(f"algebra mismatch: {h.algebra.value} vs {p.algebra.value}")
-    if h.dim != p.dim:
-        raise DimensionError(f"dimension mismatch: {h.dim} vs {p.dim}")
-    lam_h = eigensolve(h).eigenvalues
-    lam_p = eigensolve(p).eigenvalues
-    lam_sum = eigensolve(HermitianMatrix(h.data + p.data, h.algebra)).eigenvalues
-    op_norm = float(np.abs(lam_p).max()) if lam_p.size else 0.0
-    max_deviation = float((np.abs(lam_sum - lam_h) - op_norm).max())
-    return WeylResult(max_deviation <= tol, max_deviation, op_norm)
 
 
 def _fit_loglog(sizes: tuple, values: list) -> tuple:

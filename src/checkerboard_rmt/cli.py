@@ -351,10 +351,14 @@ def _check_blip_run(config: ExperimentConfig) -> None:
     """What `blip` and `compare` refuse before anything is drawn.
 
     `blip_measure` shifts by N/k and windows at k*lambda/N, which finds the
-    outliers, near N*w/k, only for w = 1.
+    outliers, near N*w/k, only for w = 1.  When k does not divide N the
+    congruence classes differ in size, and the outliers sit near those sizes,
+    up to (k-1)/k away from N/k at every N.
     """
     _check_max_m(config.max_m)
     _check_modulus(config.dim, config.k)
+    if config.dim % config.k:
+        raise ParameterError(f"k must divide N: the blip window sits at N/k, got k={config.k}, N={config.dim}")
     if config.w != 1.0:
         raise ParameterError(f"w must be 1: the blip window sits at N/k, got {config.w}")
 

@@ -42,8 +42,6 @@ _MAX_TRIAL = 2**48
 # trial-pool item.  Part of the output contract: chunk j holds matrices
 # BATCH_CHUNK*j onwards, so changing it changes every hollow batch past its first chunk.
 BATCH_CHUNK = 1024
-# numpy's NPY_MIN_ELIDE_BYTES: `a + b` with b a temporary this large is evaluated in place as b += a
-_ELIDE_BYTES = 256 * 1024
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -157,10 +155,9 @@ def _hermitian_from_upper(comps: np.ndarray, algebra: DivisionAlgebra) -> np.nda
         _symmetrize(comps[0], np.add)
         return comps[0]
     if algebra is DivisionAlgebra.COMPLEX:
-        # (c0 + 1j * c1) / divisor, one complex division by a float: dividing each part instead rounds differently.
-        # numpy adds c0 into an elided temporary 1j * c1 of _ELIDE_BYTES or more: the order picks the NaN kept.
+        # (c0 + 1j * c1) / divisor, one complex division by a float: dividing each part instead rounds differently
         grid = np.multiply(1j, comps[1], out=private_empty(comps.shape[1:], complex))
-        np.add(*((grid, comps[0]) if grid.nbytes >= _ELIDE_BYTES else (comps[0], grid)), out=grid)
+        np.add(comps[0], grid, out=grid)
         np.divide(grid, divisor, out=grid)
         _symmetrize(grid, np.add, conjugate=True)
         return grid

@@ -119,7 +119,9 @@ def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack, given as `HermitianMatrix.data`.
 
     A quaternion grid is solved as its complex embedding, whose doubled
-    eigenvalue pairs are checked (relative 1e-8) and collapsed.  A single
+    eigenvalue pairs are checked and collapsed: each pair to 1e-8 of its own
+    matrix's largest |eigenvalue| (at least 1), but to no more than half the
+    pair's own size (at least 1).  A single
     complex grid or embedding of order at least `TWO_STAGE_MIN_ORDER` goes to
     LAPACK's two-stage reduction where it is bound (`_lapack.eigvalsh_upper`),
     which is handed only the upper triangle; a quaternion matrix's is written
@@ -144,10 +146,13 @@ def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     # written so that a NaN or inf pair fails the check, without a warning first
     with np.errstate(over="ignore", invalid="ignore"):
         gap = np.abs(first - second)
-        scale = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
-        if np.all(gap <= _KRAMERS_RTOL * scale):
+        # LAPACK's eigenvalues err by eps * ||A|| each, so a pair is held to its own matrix's largest |eigenvalue|; but
+        # never past half its own size, where its copies are rounding of that eigenvalue and resolve no pair at all
+        size = np.maximum(1.0, np.maximum(np.abs(first), np.abs(second)))
+        tol = np.minimum(_KRAMERS_RTOL * np.maximum(1.0, np.abs(vals).max(axis=-1, keepdims=True)), size / 2)
+        if np.all(gap <= tol):
             return first
-        worst = np.unravel_index(np.argmax(gap / scale), gap.shape)  # the largest relative gap, or the first NaN
+        worst = np.unravel_index(np.argmax(gap / tol), gap.shape)  # the largest gap for its tolerance, or the first NaN
     raise NumericalDegeneracyError(
         f"embedded spectrum is not doubled to relative 1e-8; worst pair ({first[worst]}, {second[worst]})"
     )

@@ -6,14 +6,13 @@ import pytest
 from checkerboard_rmt.algebra import (
     DivisionAlgebra,
     HermitianMatrix,
-    conjugate_transpose,
     embed_quaternion_blocks,
     embed_quaternion_upper,
 )
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from checkerboard_rmt.exceptions import DimensionError, HermitianInvariantError
 
-from helpers import random_hermitian
+from helpers import conjugate_transpose, random_hermitian
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
 

@@ -5,7 +5,7 @@ import pytest
 
 import checkerboard_rmt.analysis as analysis
 from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix
-from checkerboard_rmt.analysis import bulk_moment_sweep, compare_blip_to_hollow, split_regimes, weighted_ks_statistic, weyl_check
+from checkerboard_rmt.analysis import bulk_moment_sweep, compare_blip_to_hollow, split_regimes, weighted_ks_statistic
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, congruence_indicator_matrix, sample_checkerboard
 from checkerboard_rmt.exceptions import ParameterError, RegimeOverlapError, StatisticalPowerWarning
 from checkerboard_rmt.moments import measure_moments
@@ -20,7 +20,7 @@ from checkerboard_rmt.spectra import (
     trial_spectra,
 )
 
-from helpers import random_hermitian
+from helpers import random_hermitian, weyl_check
 
 
 def _centered_blip_sample(seed, dim, g, k=2, algebra="real"):

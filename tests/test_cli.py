@@ -452,6 +452,11 @@ _REFUSED_RUNS = {
     # the blip window sits at N/k, where the outliers are only for w = 1
     "blip-w": (["blip", "--w", "2"], "error: w must be 1: the blip window sits at N/k, got 2.0", False),
     "compare-w": (["compare", "--w", "0.5"], "error: w must be 1: the blip window sits at N/k, got 0.5", False),
+    # classes of unequal size put the outliers up to (k-1)/k away from N/k, at every N
+    "blip-k-not-dividing-N": (["blip", "--N", "601", "--k", "3"],
+                              "error: k must divide N: the blip window sits at N/k, got k=3, N=601", False),
+    "compare-k-not-dividing-N": (["compare", "--N", "601", "--k", "3"],
+                                 "error: k must divide N: the blip window sits at N/k, got k=3, N=601", False),
     "bulk-no-bins": (["bulk", "--algebra", "quaternion", "--bins", "0"], "error: bins must be >= 1, got 0", False),
     "blip-no-bins": (["blip", "--bins", "0"], "error: bins must be >= 1, got 0", False),
     "hollow-no-bins": (["hollow", "--k", "16", "--bins", "0"], "error: bins must be >= 1, got 0", False),
@@ -512,6 +517,15 @@ def test_non_finite_spectrum_ends_in_one_error_line(tmp_path, capsys, recwarn, a
     assert capsys.readouterr().err == message + "\n"
     assert [str(w.message) for w in recwarn] == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("w", ["1e9", "1e12"])
+def test_large_stripe_quaternion_spectrum_passes_the_kramers_check(tmp_path, capsys, w):
+    # the bulk pairs split by rounding of the outliers' size, eps * N * w / k, not of their own
+    out = tmp_path / "x"
+    assert _run_cli(["sample", "--w", w, "--N", "40", "--k", "2", "--trials", "2", "--algebra", "quaternion",
+                     "--out", out]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_refuses_zero_trials_before_drawing(tmp_path, capsys, monkeypatch):

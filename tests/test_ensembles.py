@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from checkerboard_rmt import ensembles
-from checkerboard_rmt.algebra import DivisionAlgebra, conjugate_transpose
+from checkerboard_rmt.algebra import DivisionAlgebra
 from checkerboard_rmt.ensembles import (
     BATCH_CHUNK,
     CheckerboardParams,
@@ -20,6 +20,8 @@ from checkerboard_rmt.ensembles import (
 )
 from checkerboard_rmt.exceptions import ParameterError
 from checkerboard_rmt.spectra import hollow_eigenvalues
+
+from helpers import conjugate_transpose
 
 
 def test_modulus_one_gives_all_constant():
@@ -258,7 +260,15 @@ def test_row_blocks_assemble_the_whole_grid_bit_for_bit(algebra, shape):
             for assemble in (_whole_grid_hermitian_from_upper, ensembles._hermitian_from_upper)
         )
     assert assembled.shape == expected.shape and assembled.dtype == expected.dtype
-    assert np.ascontiguousarray(assembled).tobytes() == np.ascontiguousarray(expected).tobytes()
+    assembled, expected = np.ascontiguousarray(assembled), np.ascontiguousarray(expected)
+    if algebra is DivisionAlgebra.COMPLEX and expected.nbytes >= 256 * 1024:
+        # the reference's c0 + 1j * c1 adds c0 into numpy's elided temporary 1j * c1 (NPY_MIN_ELIDE_BYTES), so a
+        # NaN + NaN sum keeps the other NaN: the NaN slots agree as NaN, every other slot bit for bit
+        assembled, expected = assembled.view(float), expected.view(float)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(assembled), nan)
+        assembled, expected = assembled[~nan], expected[~nan]
+    assert assembled.tobytes() == expected.tobytes()
 
 
 _SAMPLE_PEAK = """

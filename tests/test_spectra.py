@@ -23,6 +23,7 @@ from checkerboard_rmt.ensembles import (
     sample_hollow_chunk,
 )
 from checkerboard_rmt.exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
+from checkerboard_rmt.moments import measure_moments
 from checkerboard_rmt.spectra import (
     AtomicMeasure,
     BlipConfig,
@@ -308,6 +309,17 @@ def test_bulk_measure_atoms():
     assert pair.total_mass == 1.0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("algebra", [a.value for a in DivisionAlgebra])
+def test_rademacher_bulk_second_moment_is_exact(algebra, k):
+    # At w = 0 with k | N every random entry has |x| = 1, so the bulk m2 = tr(A^2) / N^2 of each trial counts the
+    # N^2 (k-1)/k random slots: it is (k-1)/k up to rounding.  A wrong Rademacher divisor moves it by a factor; normal
+    # draws read 0.015-0.069 off at these configs.
+    params = CheckerboardParams(dim=60, k=k, w=0.0, algebra=algebra, distribution="rademacher", seed=7)
+    for spectrum in trial_spectra(params, range(4)):
+        assert abs(measure_moments(bulk_measure(spectrum), 2)[2] - (k - 1) / k) <= 1e-12
+
+
 def test_blip_weight_values():
     for n in (1, 5, 25):
         assert blip_weight(1.0, n) == 1.0
@@ -391,6 +403,25 @@ def test_kramers_check_names_the_worst_pair(monkeypatch):
     monkeypatch.setattr(spectra, "embed_quaternion_blocks", lambda comps: grid)
     with pytest.raises(NumericalDegeneracyError, match=r"worst pair \(5\.0, 6\.0\)$"):
         _eigenvalues(np.zeros((2, 2, 4)), DivisionAlgebra.QUATERNION)
+
+
+@pytest.mark.parametrize(
+    "first_pair, small_split, worst",
+    [((100.0, 105.0), 0.0, None), ((100.0, 120.0), 0.0, r"\(100\.0, 120\.0\)"),
+     ((-3.0, 3.0), 0.0, r"\(-3\.0, 3\.0\)"), ((100.0, 105.0), 1e-3, r"\(0\.0, 0\.001\)")],
+    ids=["within", "past-1e-8-of-max", "past-half-its-size", "per-matrix"],
+)
+def test_kramers_check_scales_by_each_matrix_spectrum(monkeypatch, first_pair, small_split, worst):
+    # two "embeddings" solved as a stack, with eigenvalues first_pair, 1e9, 1e9 and 0, small_split, 5, 5: each pair
+    # is held to 1e-8 of its own matrix's largest |eigenvalue|, 10 in the first and 5e-8 in the second, and to no
+    # more than half its own size
+    grids = np.stack([np.diag([*first_pair, 1e9, 1e9]), np.diag([0.0, small_split, 5.0, 5.0])])
+    monkeypatch.setattr(spectra, "embed_quaternion_blocks", lambda comps: grids.astype(complex))
+    if worst is None:
+        assert _eigenvalues(np.zeros((2, 2, 2, 4)), DivisionAlgebra.QUATERNION).tolist() == [[100.0, 1e9], [0.0, 5.0]]
+        return
+    with pytest.raises(NumericalDegeneracyError, match=f"worst pair {worst}$"):
+        _eigenvalues(np.zeros((2, 2, 2, 4)), DivisionAlgebra.QUATERNION)
 
 
 def test_blip_shift_comes_from_the_spectrum():
