@@ -259,6 +259,37 @@ def test_hollow_csv_bytes_are_pinned(tmp_path, algebra):
     assert digests == _GOLDEN_HOLLOW_CSV[algebra]
 
 
+_BULK = ["bulk", "--k", "2", "--N", "40", "--trials", "5", "--max-m", "4", "--seed", "1"]
+# SHA-256 of every table of one bulk and one blip run, and of the moment tables in JSON
+# (bulk with standard errors, oracle with none).
+_GOLDEN_TABLES = {
+    "bulk": (_BULK, {
+        "eigenvalues.csv": "4ec8b3d7557776fcaf3dbe780506b326016f91ab51fcf1242b955abb4d39ad6a",
+        "moments.csv": "07893bf16d9b28d53bf1ed2617267e863e70afe2ffed6b8180555d87be2de3df",
+        "histogram.csv": "345e5ab71d0ccc035676d3c5abec4bcaf45ee67c614776dc3f3901964de40b1d",
+    }),
+    "blip": (["blip", "--k", "2", "--N", "60", "--g", "6", "--seed", "3"], {
+        "eigenvalues.csv": "637e5964fee86726ff3cb17ef21c39aa2854b8e2e32a007429730b7d8dc7975c",
+        "moments.csv": "25436404ff3daf94da558d493a20f9e23ae92689eb34ab1439c5aef5a6f6d831",
+        "histogram.csv": "12af4a92b6b78aef7255a3726ae2e75724d419b1c7886134c89c6b1b46b3073c",
+    }),
+    "bulk-json": ([*_BULK, "--format", "json"], {
+        "moments.json": "4712bc1b4796740db28d4532b48167bc9f9504cd35f8b1bf1ec1166dec062457",
+    }),
+    "oracle-json": (["oracle", "--k", "3", "--max-m", "8", "--format", "json"], {
+        "moments.json": "627ed8d6aec435df99573b2275b6cff326d290ed5757f82da4ca3b28603ef222",
+    }),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_GOLDEN_TABLES))
+def test_table_bytes_are_pinned(tmp_path, run):
+    argv, golden = _GOLDEN_TABLES[run]
+    out = tmp_path / run
+    assert _run_cli([*argv, "--out", out]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in golden} == golden
+
+
 def test_oracle_single_order(tmp_path, capsys):
     out = tmp_path / "oracle"
     status = _run_cli(["oracle", "--k", "3", "--m", "4", "--out", out])
