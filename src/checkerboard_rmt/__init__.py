@@ -12,78 +12,11 @@ limits against exact combinatorial oracles.
 
 __version__ = "0.1.0"
 
-from .algebra import DivisionAlgebra, HermitianMatrix
-from .ensembles import (
-    CheckerboardParams,
-    HollowParams,
-    congruence_indicator_matrix,
-    sample_checkerboard,
-    sample_hollow_chunk,
-)
-from .spectra import (
-    AtomicMeasure,
-    BlipConfig,
-    Spectrum,
-    average_measures,
-    blip_measure,
-    blip_weight,
-    bulk_measure,
-    eigensolve,
-    histogram,
-    hollow_eigenvalues,
-    trial_spectra,
-)
-from .moments import (
-    MomentVector,
-    alternating_binomial_sum,
-    average_trial_moments,
-    hollow_moment_oracle,
-    hollow_moments,
-    measure_moments,
-    semicircle_moment,
-    trace_expansion_blip_moments,
-)
-from .analysis import (
-    ComparisonReport,
-    RegimeSplit,
-    SweepReport,
-    bulk_moment_sweep,
-    compare_blip_to_hollow,
-    split_regimes,
-)
+from . import algebra, analysis, ensembles, moments, spectra
+from .algebra import *
+from .ensembles import *
+from .spectra import *
+from .moments import *
+from .analysis import *
 
-__all__ = [
-    "__version__",
-    "DivisionAlgebra",
-    "HermitianMatrix",
-    "CheckerboardParams",
-    "HollowParams",
-    "congruence_indicator_matrix",
-    "sample_checkerboard",
-    "sample_hollow_chunk",
-    "AtomicMeasure",
-    "BlipConfig",
-    "Spectrum",
-    "average_measures",
-    "blip_measure",
-    "blip_weight",
-    "bulk_measure",
-    "eigensolve",
-    "histogram",
-    "hollow_eigenvalues",
-    "trial_spectra",
-    "MomentVector",
-    "alternating_binomial_sum",
-    "average_trial_moments",
-    "hollow_moment_oracle",
-    "hollow_moments",
-    "measure_moments",
-    "semicircle_moment",
-    "trace_expansion_blip_moments",
-    "ComparisonReport",
-    "RegimeSplit",
-    "SweepReport",
-    "bulk_moment_sweep",
-    "compare_blip_to_hollow",
-    "split_regimes",
-]
+__all__ = ["__version__", *algebra.__all__, *ensembles.__all__, *spectra.__all__, *moments.__all__, *analysis.__all__]

@@ -37,7 +37,6 @@ class RegimeSplit:
 
     blip_eigenvalues: np.ndarray
     bulk_eigenvalues: np.ndarray
-    threshold: float
     target: float
 
 
@@ -69,7 +68,7 @@ def split_regimes(spectrum: Spectrum, k: int, w: float, exponent: float = 0.65) 
             f"{both.sum()} eigenvalue(s) fit both regimes and {neither.sum()} fit neither "
             f"(threshold {threshold:.3f}, target {target:.3f}); offenders: {offenders[:8]}"
         )
-    return RegimeSplit(lam[in_blip], lam[in_bulk], threshold, target)
+    return RegimeSplit(lam[in_blip], lam[in_bulk], target)
 
 
 def _fit_loglog(sizes: tuple, values: list) -> tuple:
@@ -93,11 +92,6 @@ def _fit_loglog(sizes: tuple, values: list) -> tuple:
 class SweepReport:
     """The ell-th bulk moment across sizes: per-size statistics and log-log slopes."""
 
-    k: int
-    ell: int
-    w: float
-    sizes: tuple
-    trials: int
     means: tuple
     stderrs: tuple
     variances: tuple
@@ -137,9 +131,7 @@ def bulk_moment_sweep(k: int, ell: int, sizes, trials: int, w: float, seed: int 
         variances.append(float(samples.var(ddof=1)))
     mean_slope, mean_slope_se = _fit_loglog(sizes, means)
     variance_slope, _ = _fit_loglog(sizes, variances)
-    return SweepReport(
-        k, ell, w, sizes, trials, tuple(means), tuple(stderrs), tuple(variances), mean_slope, mean_slope_se, variance_slope
-    )
+    return SweepReport(tuple(means), tuple(stderrs), tuple(variances), mean_slope, mean_slope_se, variance_slope)
 
 
 def weighted_ks_statistic(loc1, w1, loc2, w2) -> float:

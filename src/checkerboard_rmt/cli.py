@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._parallel import contiguous_blocks, parallel_map
 from .analysis import _check_exponent, compare_blip_to_hollow, split_regimes
-from .ensembles import CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard
+from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
 from .moments import (
     _check_desk_scale,
@@ -142,36 +142,20 @@ def resolve_config(command: str, cli_values: dict, file_values: "dict | None" = 
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _piece(columns, start: int, stop: int) -> str:
     """Rows start..stop of the columns as CSV text, in one `%` conversion.
 
     A row template such as "%d,%d,%r\n", repeated once per row, takes the
-    piece's cells interleaved row by row.  Float arrays take %r and integer
-    arrays %d of their Python values, the same text as `_cell`; anything else
-    takes %s of `_cell`.
+    piece's cells interleaved row by row: a float array's Python values take
+    %r, an integer array's %d, and a None column is empty in every row.
     """
-    width, codes = len(columns), []
+    pieces = [None if column is None else column[start:stop] for column in columns]
+    codes = ["" if values is None else "%r" if values.dtype.kind == "f" else "%d" for values in pieces]
+    filled = [values for values in pieces if values is not None]
+    width = len(filled)
     cells = [None] * ((stop - start) * width)
-    for i, column in enumerate(columns):
-        values = column[start:stop]
-        if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-            codes.append("%r" if values.dtype.kind == "f" else "%d")
-            cells[i::width] = values.tolist()
-        else:
-            codes.append("%s")
-            cells[i::width] = map(_cell, values)
+    for i, values in enumerate(filled):
+        cells[i::width] = values.tolist()
     return (",".join(codes) + "\n") * (stop - start) % tuple(cells)
 
 
@@ -183,8 +167,8 @@ def _write_csv(path: Path, header, columns) -> None:
     formatted: the parent (the first share) straight into the file, each child
     into a part file beside it, which the parent then appends in order and
     deletes.  A block is CSV_PIECE_ROWS-row pieces of `_piece` joined, so no
-    per-row string is made.  A column is anything that slices into arrays or
-    lists, such as `_TrialColumn`.
+    per-row string is made.  A column is None or anything that slices into
+    float or integer arrays, such as `_TrialColumn`.
     """
     rows = len(columns[0])
 
@@ -237,9 +221,11 @@ class _Artifacts:
         self.files: list = []  # (filename, text, or a (header, columns) CSV table)
 
     def table(self, name: str, header, columns, fmt: str):
-        """A table of equal-length columns, each a 1-d numpy array, a short list or a `_TrialColumn`."""
+        """A table of columns as long as the first, each a 1-d float or integer array, a `_TrialColumn`
+        (CSV only) or None, which is empty (CSV) or null (JSON) in every row."""
         if fmt == "json":
-            values = [column.tolist() if isinstance(column, np.ndarray) else list(column) for column in columns]
+            count = len(columns[0])
+            values = [[None] * count if column is None else column.tolist() for column in columns]
             rows = [list(row) for row in zip(*values, strict=True)]
             self.files.append((f"{name}.json", _json_text({"columns": list(header), "rows": rows})))
         else:
@@ -315,12 +301,10 @@ def _eigenvalue_table(artifacts: _Artifacts, per_trial) -> None:
     artifacts.table("eigenvalues", ("trial", "index", "eigenvalue"), columns, "csv")
 
 
-_MOMENT_HEADER = ("m", "value", "stderr")
-
-
-def _moment_columns(values, stderrs) -> tuple:
-    """(m, value, stderr) columns for m = 0..; stderr cells are empty without standard errors (one trial)."""
-    return np.arange(len(values)), values, [None] * len(values) if stderrs is None else stderrs
+def _moment_table(artifacts: _Artifacts, orders: np.ndarray, values: np.ndarray, stderrs, fmt: str) -> None:
+    """moments.csv (or .json): (m, value, stderr) columns; a None `stderrs` (one trial, or exact values) leaves
+    the stderr cells empty."""
+    artifacts.table("moments", ("m", "value", "stderr"), (orders, values, stderrs), fmt)
 
 
 def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
@@ -342,13 +326,13 @@ def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
     _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
-    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
+    _moment_table(artifacts, np.arange(config.max_m + 1), moments.values, moments.standard_errors, config.fmt)
     emit_histogram_bundle(average_measures(measures), config, artifacts)
     return {}, 0
 
 
-def _check_blip_run(config: ExperimentConfig) -> None:
-    """What `blip` and `compare` refuse before anything is drawn.
+def _check_blip_run(config: ExperimentConfig) -> BlipConfig:
+    """What `blip` and `compare` refuse before anything is drawn; returns the blip weight's config.
 
     `blip_measure` shifts by N/k and windows at k*lambda/N, which finds the
     outliers, near N*w/k, only for w = 1.  When k does not divide N the
@@ -356,31 +340,31 @@ def _check_blip_run(config: ExperimentConfig) -> None:
     up to (k-1)/k away from N/k at every N.
     """
     _check_max_m(config.max_m)
-    _check_modulus(config.dim, config.k)
+    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, config.n)
     if config.dim % config.k:
         raise ParameterError(f"k must divide N: the blip window sits at N/k, got k={config.k}, N={config.dim}")
     if config.w != 1.0:
         raise ParameterError(f"w must be 1: the blip window sits at N/k, got {config.w}")
+    return blip_cfg
 
 
-def _blip_trials(config: ExperimentConfig) -> tuple:
-    """g, n, the spectra and the blip measures of g sampled matrices (blip and compare)."""
+def _blip_trials(config: ExperimentConfig, blip_cfg: BlipConfig) -> tuple:
+    """g, the spectra and the blip measures of g sampled matrices (blip and compare)."""
     g = config.g if config.g is not None else default_average_count(config.dim)
-    blip_cfg = BlipConfig.for_dimension(config.dim, config.k, config.n)
     spectra = trial_spectra(_checkerboard_params(config), range(g))
-    return g, blip_cfg.n, spectra, [blip_measure(s, config.k, blip_cfg) for s in spectra]
+    return g, spectra, [blip_measure(s, config.k, blip_cfg) for s in spectra]
 
 
 def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    _check_blip_run(config)
+    blip_cfg = _check_blip_run(config)
     _check_bins(config.bins)
-    g, n, spectra, measures = _blip_trials(config)
+    g, spectra, measures = _blip_trials(config, blip_cfg)
     center = float(config.k - 1)
     moments = average_trial_moments(measures, config.max_m, center=center)
     _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
-    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
+    _moment_table(artifacts, np.arange(config.max_m + 1), moments.values, moments.standard_errors, config.fmt)
     emit_histogram_bundle(average_measures(measures), config, artifacts, value_range=default_blip_range(config.k))
-    return {"g": g, "n": n, "moment_center": center}, 0
+    return {"g": g, "n": blip_cfg.n, "moment_center": center}, 0
 
 
 def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
@@ -390,7 +374,7 @@ def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     moments = hollow_moments(eigs, config.max_m)
     measure = AtomicMeasure(eigs.ravel(), np.broadcast_to(1.0 / eigs.size, eigs.size))  # one weight, never copied
     _eigenvalue_table(artifacts, eigs)
-    artifacts.table("moments", _MOMENT_HEADER, _moment_columns(moments.values, moments.standard_errors), config.fmt)
+    _moment_table(artifacts, np.arange(config.max_m + 1), moments.values, moments.standard_errors, config.fmt)
     emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))
     return {"ensemble": f"hollow-{config.algebra}"}, 0
 
@@ -399,7 +383,7 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     orders = [config.m] if config.m is not None else list(range(config.max_m + 1))
     exacts = [hollow_moment_oracle(config.k, m, config.algebra) for m in orders]
     values = [float(exact) for exact in exacts]
-    artifacts.table("moments", _MOMENT_HEADER, (orders, values, [None] * len(orders)), config.fmt)
+    _moment_table(artifacts, np.array(orders), np.array(values), None, config.fmt)
     results = [{"m": m, "value": value, "exact": str(exact)} for m, value, exact in zip(orders, values, exacts)]
     artifacts.json("oracle", {"k": config.k, "algebra": config.algebra, "results": results})
     for r in results:
@@ -475,9 +459,9 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
 
 
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
-    _check_blip_run(config)
+    blip_cfg = _check_blip_run(config)
     eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=config.algebra, seed=config.seed), config.trials)
-    g, n, _, measures = _blip_trials(config)
+    g, _, measures = _blip_trials(config, blip_cfg)
     averaged = average_measures(measures)
     centered = AtomicMeasure(averaged.locations - (config.k - 1), averaged.weights)
     report = compare_blip_to_hollow(centered, eigs, config.max_m)
@@ -487,7 +471,7 @@ def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
         + ", ".join(f"m{m}={d:.4f}" for m, d in report.moment_distances.items())
         + f"; ks={report.ks_statistic:.4f}"
     )
-    return {"g": g, "n": n}, 0
+    return {"g": g, "n": blip_cfg.n}, 0
 
 
 class _Command(NamedTuple):
