@@ -149,13 +149,16 @@ def _piece(columns, start: int, stop: int) -> str:
     piece's cells interleaved row by row: a float array's Python values take
     %r, an integer array's %d, and a None column is empty in every row.
     """
-    pieces = [None if column is None else column[start:stop] for column in columns]
-    codes = ["" if values is None else "%r" if values.dtype.kind == "f" else "%d" for values in pieces]
-    filled = [values for values in pieces if values is not None]
-    width = len(filled)
+    width, codes, i = sum(column is not None for column in columns), [], 0
     cells = [None] * ((stop - start) * width)
-    for i, values in enumerate(filled):
+    for column in columns:  # one slice at a time
+        if column is None:
+            codes.append("")
+            continue
+        values = column[start:stop]
+        codes.append("%r" if values.dtype.kind == "f" else "%d")
         cells[i::width] = values.tolist()
+        i += 1
     return (",".join(codes) + "\n") * (stop - start) % tuple(cells)
 
 
@@ -221,8 +224,11 @@ class _Artifacts:
         self.files: list = []  # (filename, text, or a (header, columns) CSV table)
 
     def table(self, name: str, header, columns, fmt: str):
-        """A table of columns as long as the first, each a 1-d float or integer array, a `_TrialColumn`
-        (CSV only) or None, which is empty (CSV) or null (JSON) in every row."""
+        """A table of columns as long as the first.
+
+        Each column is a 1-d float or integer array, a `_TrialColumn` (CSV
+        only) or None, which is empty in every CSV row and null in every JSON row.
+        """
         if fmt == "json":
             count = len(columns[0])
             values = [[None] * count if column is None else column.tolist() for column in columns]
@@ -302,8 +308,10 @@ def _eigenvalue_table(artifacts: _Artifacts, per_trial) -> None:
 
 
 def _moment_table(artifacts: _Artifacts, orders: np.ndarray, values: np.ndarray, stderrs, fmt: str) -> None:
-    """moments.csv (or .json): (m, value, stderr) columns; a None `stderrs` (one trial, or exact values) leaves
-    the stderr cells empty."""
+    """moments.csv (or .json): the m, value and stderr columns.
+
+    A None `stderrs` (one trial, or exact values) leaves every stderr cell empty.
+    """
     artifacts.table("moments", ("m", "value", "stderr"), (orders, values, stderrs), fmt)
 
 
