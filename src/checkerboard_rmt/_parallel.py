@@ -5,9 +5,9 @@ the trial index.  `parallel_map` splits its items into one contiguous block per
 worker, forks a child for every block but the first, and runs the first block
 itself.  A child inherits the function and the items, so nothing is pickled on
 the way in, and nothing comes back but its exception: `fn` is called for its
-effects, and writes its results into an array from `shared_empty`, which the
-children share with the parent, or into a file.  Every item writes its own
-rows, so the worker count never changes what is written.
+effects, and its results land in the rows of a `parallel_rows` table, which the
+children share with the parent, or in files.  Every item writes its own rows,
+so the worker count never changes what is written.
 
 The worker count is CHECKERBOARD_THREADS, by default os.cpu_count() divided by
 the BLAS threads each process runs (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-__all__ = ["worker_count", "contiguous_blocks", "shared_empty", "private_empty", "parallel_map"]
+__all__ = ["worker_count", "shared_empty", "private_empty", "parallel_map", "parallel_rows"]
 
 _ENV_VAR = "CHECKERBOARD_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -158,3 +158,17 @@ def parallel_map(fn, items) -> None:
             pipe.close()
             os.kill(pid, signal.SIGKILL)  # no-op on a child that has exited: it waits, unreaped, until here
             os.waitpid(pid, 0)
+
+
+def parallel_rows(rows: int, width: int, step: int, fill) -> np.ndarray:
+    """A (rows, width) `shared_empty` table whose rows start..stop are `fill(start, stop)`, each run of `step`
+    rows (the last one ragged) one item of `parallel_map`, so the worker count never changes the table."""
+    if rows < 1:  # a run over no trials writes or checks nothing
+        raise ParameterError(f"trials must be positive, got {rows}")
+    table = shared_empty((rows, width))
+
+    def write(start: int) -> None:
+        table[start : start + step] = fill(start, min(start + step, rows))
+
+    parallel_map(write, range(0, rows, step))
+    return table

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._parallel import contiguous_blocks, parallel_map
+from ._parallel import parallel_map
 from .analysis import _check_exponent, compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
@@ -106,9 +106,10 @@ def _check_config(config) -> None:
         raise ParameterError(f"unknown command {config.command!r}")
     for field in _FIELDS:
         object.__setattr__(config, field.name, field.coerce(getattr(config, field.name)))
-    for name in ("trials", "max_m", "bins"):
-        if getattr(config, name) < 0:
-            raise ParameterError(f"{name} must be nonnegative")
+    for field in _FIELDS:
+        value = getattr(config, field.name)
+        if field.name in ("trials", "max_m", "bins") and value < 0:
+            raise ParameterError(f"{field.key} must be nonnegative, got {value}")
     if config.g is not None and config.g < 1:  # a blip average over no matrices
         raise ParameterError(f"g must be positive, got {config.g}")
 
@@ -165,37 +166,30 @@ def _piece(columns, start: int, stop: int) -> str:
 def _write_csv(path: Path, header, columns) -> None:
     """Write equal-length columns as a CSV file, formatting CSV_BLOCK_ROWS rows at a time.
 
-    The blocks are split into `parallel_map`'s contiguous shares, one per
-    worker of the trial pool.  Each worker writes every block as soon as it is
-    formatted: the parent (the first share) straight into the file, each child
-    into a part file beside it, which the parent then appends in order and
-    deletes.  A block is CSV_PIECE_ROWS-row pieces of `_piece` joined, so no
+    Each block is one item of `parallel_map`, which the worker holding it
+    formats and writes to the block's own part file beside the file; the
+    parent then appends the parts in order, deleting each once it is
+    appended.  A block is CSV_PIECE_ROWS-row pieces of `_piece` joined, so no
     per-row string is made.  A column is None or anything that slices into
     float or integer arrays, such as `_TrialColumn`.
     """
     rows = len(columns[0])
+    starts = range(0, rows, CSV_BLOCK_ROWS)
+    parts = [path.with_name(f"{path.name}.{index}.part") for index in range(len(starts))]
 
-    def block(start: int) -> str:
+    def write_block(start: int) -> None:
         stop = min(start + CSV_BLOCK_ROWS, rows)
-        return "".join(_piece(columns, p, min(p + CSV_PIECE_ROWS, stop)) for p in range(start, stop, CSV_PIECE_ROWS))
-
-    shares = contiguous_blocks(range(0, rows, CSV_BLOCK_ROWS))
-    parts = [path.with_name(f"{path.name}.{index}.part") for index in range(1, len(shares))]
-
-    def write_share(index: int) -> None:
-        if index == 0:
-            handle.writelines(map(block, shares[0]))
-        else:
-            with parts[index - 1].open("w") as part:
-                part.writelines(map(block, shares[index]))
+        pieces = (_piece(columns, p, min(p + CSV_PIECE_ROWS, stop)) for p in range(start, stop, CSV_PIECE_ROWS))
+        parts[start // CSV_BLOCK_ROWS].write_text("".join(pieces))
 
     try:
         with path.open("w") as handle:
             handle.write(f"{CSV_VERSION_LINE}\n{','.join(header)}\n")
-            parallel_map(write_share, range(len(shares)))
+            parallel_map(write_block, starts)
             for part in parts:
                 with part.open() as source:
                     shutil.copyfileobj(source, handle)
+                part.unlink()
     finally:
         for part in parts:
             part.unlink(missing_ok=True)

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import parallel_map, shared_empty
+from ._parallel import parallel_rows
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
-from .ensembles import BATCH_CHUNK, _check_modulus
+from .ensembles import _check_modulus
 from .exceptions import EnumerationBudgetError, ParameterError
 from .spectra import AtomicMeasure, BlipConfig
 
@@ -71,21 +71,6 @@ def _check_desk_scale(dim: int, n: int) -> None:
         raise ParameterError(f"desk-scale evaluation requires dim <= 16 and n <= 3, got dim={dim}, n={n}")
 
 
-def _column_sum(table: np.ndarray, f) -> np.ndarray:
-    """The column sums of `f(table)`, taking `f` of _TRIAL_BLOCK_ROWS rows at a time.
-
-    numpy sums axis 0 of a C-ordered table of two or more columns row after
-    row, so carrying each block's sum in as the first row of the next adds the
-    same numbers in the same order.  One column it sums pairwise, so that
-    table is one block.
-    """
-    rows = _TRIAL_BLOCK_ROWS if table.shape[1] > 1 else len(table)
-    total = f(table[:rows]).sum(axis=0)
-    for start in range(rows, len(table), rows):
-        total = np.vstack([total, f(table[start : start + rows])]).sum(axis=0)
-    return total
-
-
 def _trial_mean(table: np.ndarray) -> MomentVector:
     """Mean of a (trials, orders) table, with standard errors across its rows (None for one row).
 
@@ -93,10 +78,16 @@ def _trial_mean(table: np.ndarray) -> MomentVector:
     but no table-sized temporary is made.
     """
     trials = len(table)
-    mean = _column_sum(table, lambda block: block) / trials
+    mean = table.sum(axis=0) / trials
     if trials == 1:
         return MomentVector(mean)
-    squares = _column_sum(table, lambda block: np.square(block - mean))
+    # numpy sums axis 0 of a C-ordered table of two or more columns row after row, so carrying each block's
+    # sum in as the first row of the next adds the same numbers in the same order; one column it sums pairwise,
+    # so that table is one block
+    rows = _TRIAL_BLOCK_ROWS if table.shape[1] > 1 else trials
+    squares = np.square(table[:rows] - mean).sum(axis=0)
+    for start in range(rows, trials, rows):
+        squares = np.vstack([squares, np.square(table[start : start + rows] - mean)]).sum(axis=0)
     return MomentVector(mean, np.sqrt(squares / (trials - 1)) / math.sqrt(trials))
 
 
@@ -127,16 +118,12 @@ def hollow_moments(eigs: np.ndarray, max_m: int) -> MomentVector:
     """
     _check_max_m(max_m)
     trials, k = eigs.shape
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
     powers = np.arange(max_m + 1)[None, :, None]
-    table = shared_empty((trials, max_m + 1))
 
-    def traces(start: int) -> None:  # (1/k) tr B^m per trial of a chunk, m = 0..max_m
-        table[start : start + BATCH_CHUNK] = (eigs[start : start + BATCH_CHUNK, None, :] ** powers).sum(axis=2) / k
+    def traces(start: int, stop: int) -> np.ndarray:  # (1/k) tr B^m per trial, m = 0..max_m
+        return (eigs[start:stop, None, :] ** powers).sum(axis=2) / k
 
-    parallel_map(traces, range(0, trials, BATCH_CHUNK))
-    return _trial_mean(table)
+    return _trial_mean(parallel_rows(trials, max_m + 1, _TRIAL_BLOCK_ROWS, traces))
 
 
 def catalan(n: int) -> int:

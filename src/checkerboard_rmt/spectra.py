@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from ._parallel import parallel_map, shared_empty
+from ._parallel import parallel_rows
 from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks, embed_quaternion_upper
 from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
@@ -181,17 +181,11 @@ def hollow_eigenvalues(params: HollowParams, trials: int) -> np.ndarray:
     never exists whole.  Every matrix is solved on its own, so the result
     does not depend on the workers.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
-    eigs = shared_empty((trials, params.k))
 
-    def solve(start: int) -> None:
-        size = min(BATCH_CHUNK, trials - start)
-        chunk = sample_hollow_chunk(params, start // BATCH_CHUNK, size)
-        eigs[start : start + size] = _eigenvalues(chunk, params.algebra)
+    def solve(start: int, stop: int) -> np.ndarray:
+        return _eigenvalues(sample_hollow_chunk(params, start // BATCH_CHUNK, stop - start), params.algebra)
 
-    parallel_map(solve, range(0, trials, BATCH_CHUNK))
-    return eigs
+    return parallel_rows(trials, params.k, BATCH_CHUNK, solve)
 
 
 def trial_spectra(params: CheckerboardParams, trials: range) -> list:
@@ -201,15 +195,11 @@ def trial_spectra(params: CheckerboardParams, trials: range) -> list:
     row of one shared (trials, N) array; its random stream depends only on
     t, so the result does not depend on the workers.
     """
-    if len(trials) < 1:  # a run over no trials writes or checks nothing
-        raise ParameterError(f"trials must be positive, got {len(trials)}")
-    eigs = shared_empty((len(trials), params.dim))
 
-    def solve(row: int) -> None:
-        eigs[row] = eigensolve(sample_checkerboard(params, trials[row])).eigenvalues
+    def solve(row: int, stop: int) -> np.ndarray:
+        return eigensolve(sample_checkerboard(params, trials[row])).eigenvalues
 
-    parallel_map(solve, range(len(trials)))
-    return [Spectrum(row) for row in eigs]
+    return [Spectrum(row) for row in parallel_rows(len(trials), params.dim, 1, solve)]
 
 
 def bulk_measure(spectrum: Spectrum) -> AtomicMeasure:

@@ -170,19 +170,21 @@ def test_eigenvalue_table_write_holds_less_than_its_file(tmp_path, monkeypatch):
     assert peak < (tmp_path / "eigenvalues.csv").stat().st_size / 3
 
 
-def test_a_failed_table_write_leaves_no_manifest_and_no_part_file(tmp_path, capsys, monkeypatch):
+# 144,000 rows are three blocks: the parent formats the first (index 0), a child the last (index 2)
+@pytest.mark.parametrize("block, threads", [(2, "2"), (0, "2"), (0, "3")], ids=["child-2", "parent-2", "parent-3"])
+def test_a_failed_table_write_leaves_no_manifest_and_no_part_file(tmp_path, capsys, monkeypatch, block, threads):
     out = tmp_path / "run"
     assert _run_cli(["hollow", "--k", "2", "--trials", "10", "--out", out]) == 0
     slice_rows = _TrialColumn.__getitem__
 
-    def fail_in_the_second_block(column, rows):
-        if rows.start >= CSV_BLOCK_ROWS:
+    def fail_in_one_block(column, rows):
+        if rows.start // CSV_BLOCK_ROWS == block:
             raise CheckerboardError("column failed")
         return slice_rows(column, rows)
 
-    monkeypatch.setattr(_TrialColumn, "__getitem__", fail_in_the_second_block)
-    monkeypatch.setenv("CHECKERBOARD_THREADS", "2")  # 80,000 rows: the second block is the child's share
-    assert _run_cli(["hollow", "--k", "16", "--trials", "5000", "--out", out]) == 2
+    monkeypatch.setattr(_TrialColumn, "__getitem__", fail_in_one_block)
+    monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
+    assert _run_cli(["hollow", "--k", "16", "--trials", "9000", "--out", out]) == 2
     assert capsys.readouterr().err == "error: column failed\n"
     names = {p.name for p in out.iterdir()}
     assert "manifest.json" not in names and not [name for name in names if name.endswith(".part")]
@@ -466,6 +468,11 @@ _REFUSED_RUNS = {
     "verify-identities-n": (["verify-identities", "--n", "4"],
                             "error: desk-scale evaluation requires dim <= 16 and n <= 3, got dim=8, n=4", False),
     "sample-no-trials": (["sample", "--trials", "0"], "error: trials must be positive, got 0", False),
+    # a negative count names its flag: verify-identities would otherwise check no matrix and pass
+    "oracle-negative-max-m": (["oracle", "--max-m", "-1"], "error: max-m must be nonnegative, got -1", False),
+    "verify-identities-negative-trials": (["verify-identities", "--trials", "-1"],
+                                          "error: trials must be nonnegative, got -1", False),
+    "sample-negative-bins": (["sample", "--bins", "-1"], "error: bins must be nonnegative, got -1", False),
     "bulk-no-trials": (["bulk", "--trials", "0"], "error: trials must be positive, got 0", False),
     "blip-no-g": (["blip", "--g", "0"], "error: g must be positive, got 0", False),
     "blip-negative-g": (["blip", "--g", "-1"], "error: g must be positive, got -1", False),

@@ -1,4 +1,5 @@
-"""The forked trial pool: shared results, order, errors, dead workers, cleanup and the default worker count."""
+"""The forked trial pool: shared results and row tables, order, errors, dead workers, cleanup and the default
+worker count."""
 
 import itertools
 import os
@@ -9,9 +10,9 @@ import time
 import pytest
 
 from checkerboard_rmt import _parallel, spectra
-from checkerboard_rmt._parallel import parallel_map, shared_empty, worker_count
+from checkerboard_rmt._parallel import parallel_map, parallel_rows, shared_empty, worker_count
 from checkerboard_rmt.cli import main
-from checkerboard_rmt.exceptions import NumericalDegeneracyError
+from checkerboard_rmt.exceptions import NumericalDegeneracyError, ParameterError
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +83,39 @@ def test_error_in_a_later_block_reaches_the_parent(monkeypatch):
     with pytest.raises(NumericalDegeneracyError) as info:
         parallel_map(fn, range(12))
     assert type(info.value) is NumericalDegeneracyError and str(info.value) == "item 9 is degenerate"
+    _assert_no_children()
+
+
+def test_parallel_rows_with_a_ragged_last_item_is_the_same_at_every_worker_count(monkeypatch):
+    def fill(start, stop):  # each row holds its item's bounds and its own index
+        return [(start, stop, row) for row in range(start, stop)]
+
+    expected = [[0, 4, row] for row in range(4)] + [[4, 8, row] for row in range(4, 8)] + [[8, 10, 8], [8, 10, 9]]
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("CHECKERBOARD_THREADS", workers)
+        assert parallel_rows(10, 3, 4, fill).tolist() == expected, workers
+    _assert_no_children()
+
+
+def test_parallel_rows_refuses_no_rows():
+    def fill(start, stop):
+        raise AssertionError("filled a table of no rows")
+
+    with pytest.raises(ParameterError, match=r"^trials must be positive, got 0$"):
+        parallel_rows(0, 3, 4, fill)
+
+
+def test_error_in_a_childs_fill_reaches_the_parent(monkeypatch):
+    monkeypatch.setenv("CHECKERBOARD_THREADS", "2")
+
+    def fill(start, stop):
+        if start >= 6:  # the last item, in the child's block
+            raise NumericalDegeneracyError(f"rows {start}..{stop} are degenerate")
+        return 0.0
+
+    with pytest.raises(NumericalDegeneracyError) as info:
+        parallel_rows(8, 2, 2, fill)
+    assert type(info.value) is NumericalDegeneracyError and str(info.value) == "rows 6..8 are degenerate"
     _assert_no_children()
 
 

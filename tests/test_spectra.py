@@ -482,6 +482,18 @@ def test_histogram_default_range_ignores_negligible_atoms():
     assert integral == pytest.approx(measure.total_mass, rel=1e-9)
 
 
+def test_histogram_default_range_spans_a_measure_of_negligible_atoms():
+    # bulk --trials 2600 at N = 400 pools 1,040,000 atoms of equal weight, each below 1e-6 of the mass
+    n = 1_040_000
+    locations = np.random.default_rng(9).standard_normal(n)
+    measure = AtomicMeasure(locations, np.full(n, 1.0 / n))
+    assert not np.any(measure.weights > 1e-6 * measure.total_mass)
+    table = histogram(measure, 16)
+    assert table.bin_lo[0] < locations.min() and locations.max() < table.bin_hi[-1]
+    integral = float(np.sum(table.density * (table.bin_hi - table.bin_lo)))
+    assert integral == pytest.approx(measure.total_mass, rel=1e-9)
+
+
 def test_full_spectrum_histogram_shows_both_regimes():
     # scaled eigenvalues of a striped sample: semicircle-like mass near 0 plus a
     # far spike near sqrt(N)/k
