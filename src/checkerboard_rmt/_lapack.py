@@ -5,10 +5,11 @@ reduction (dense to band with level-3 kernels, then bulge chasing to
 tridiagonal; Haidar, Ltaief & Dongarra, SC'11) is faster on large complex
 grids, and the ILP64 OpenBLAS inside numpy's wheels exports its routines.
 `spectra` sends a single complex grid of order at least `TWO_STAGE_MIN_ORDER`
-to `eigvalsh_upper`, which runs the three routines `zheevd_2stage` runs for
-eigenvalues alone, `zhetrd_he2hb`, `zhetrd_hb2st` and `dsterf`, on only the
-triangle LAPACK reads, and everything else to numpy.  Where the routines are
-not found (another platform, MKL, an LP64 build), numpy solves every grid.
+that is not bipartite to `eigvalsh_upper`, which runs the three routines
+`zheevd_2stage` runs for eigenvalues alone, `zhetrd_he2hb`, `zhetrd_hb2st`
+and `dsterf`, on only the triangle LAPACK reads, and everything else to
+numpy.  Where the routines are not found (another platform, MKL, an LP64
+build), numpy solves every such grid.
 """
 
 from __future__ import annotations

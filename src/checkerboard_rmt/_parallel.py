@@ -160,11 +160,16 @@ def parallel_map(fn, items) -> None:
             os.waitpid(pid, 0)
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse a run over no trials, which would write or check nothing."""
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+
+
 def parallel_rows(rows: int, width: int, step: int, fill) -> np.ndarray:
     """A (rows, width) `shared_empty` table whose rows start..stop are `fill(start, stop)`, each run of `step`
     rows (the last one ragged) one item of `parallel_map`, so the worker count never changes the table."""
-    if rows < 1:  # a run over no trials writes or checks nothing
-        raise ParameterError(f"trials must be positive, got {rows}")
+    _check_trials(rows)
     table = shared_empty((rows, width))
 
     def write(start: int) -> None:

@@ -3,8 +3,9 @@
 Quaternion values are read as arrays with a trailing axis of length 4 holding
 the components (real, i, j, k).  A quaternion matrix holds its (N, N, 4)
 components; the eigensolver takes their standard embedding into a 2N x 2N
-complex matrix, written whole by `embed_quaternion_blocks` or one triangle at
-a time by `embed_quaternion_upper`.  Only the arithmetic needed to build and
+complex matrix, written whole by `embed_quaternion_blocks` (which embeds any
+rectangular block of components too) or one triangle at a time by
+`embed_quaternion_upper`.  Only the arithmetic needed to build and
 diagonalize self-adjoint matrices is implemented.
 """
 
@@ -126,26 +127,25 @@ _ODD_ROW = ((2, False), (3, True), (0, True), (1, False))
 
 
 def _block_rows(embedding: np.ndarray) -> np.ndarray:
-    """The float view (..., 2N, N, 4) of complex grids (..., 2N, 2N): row, block column, slot."""
-    n = embedding.shape[-1] // 2
-    return embedding.view(float).reshape(*embedding.shape[:-2], 2 * n, n, 4)
+    """The float view (..., 2P, Q, 4) of complex grids (..., 2P, 2Q): row, block column, slot."""
+    return embedding.view(float).reshape(*embedding.shape[:-1], embedding.shape[-1] // 2, 4)
 
 
 def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
-    """Map quaternion grids (..., N, N, 4) to complex grids (..., 2N, 2N).
+    """Map quaternion blocks (..., P, Q, 4) to complex blocks (..., 2P, 2Q).
 
     Each entry r + x*i + y*j + z*k becomes the 2x2 block
     [[r + x*1j, y + z*1j], [-y + z*1j, r - x*1j]], written one component at
-    a time; the spectrum of a self-adjoint input is preserved with every
-    eigenvalue doubled.  Every slot holds a component or its negation, so the
-    embedding equals that complex arithmetic bit for bit wherever the
-    components are finite and nonzero.  A ±0 component can leave a zero slot
-    with the other sign, and an infinite one keeps its value where that
-    arithmetic gives NaN (0 * inf).
+    a time; the spectrum of a self-adjoint grid (P = Q) is preserved with
+    every eigenvalue doubled, and so are the singular values of any block.
+    Every slot holds a component or its negation, so the embedding equals
+    that complex arithmetic bit for bit wherever the components are finite
+    and nonzero.  A ±0 component can leave a zero slot with the other sign,
+    and an infinite one keeps its value where that arithmetic gives NaN
+    (0 * inf).
     """
     comps = np.asarray(comps, dtype=float)
-    n = comps.shape[-2]
-    out = np.empty(comps.shape[:-3] + (2 * n, 2 * n), dtype=complex)
+    out = np.empty((*comps.shape[:-3], 2 * comps.shape[-3], 2 * comps.shape[-2]), dtype=complex)
     rows = _block_rows(out)
     for c, (slot, negated) in enumerate(_ODD_ROW):
         even, odd = rows[..., 0::2, :, c], rows[..., 1::2, :, slot]

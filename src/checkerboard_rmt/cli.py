@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._parallel import parallel_map
+from ._parallel import _check_trials, parallel_map
 from .analysis import _check_exponent, compare_blip_to_hollow, split_regimes
 from .ensembles import CheckerboardParams, HollowParams, sample_checkerboard
 from .exceptions import CheckerboardError, ParameterError, RegimeOverlapError
@@ -435,6 +435,7 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
     blip_cfg = BlipConfig.for_dimension(config.dim, config.k, 2 if config.n is None else config.n)
     params = _checkerboard_params(config)
     _check_desk_scale(config.dim, blip_cfg.n)  # before trial 0 is drawn
+    _check_trials(config.trials)
     for trial in range(config.trials):
         matrix = sample_checkerboard(params, trial)
         spectrum = eigensolve(matrix)

@@ -115,24 +115,48 @@ class BlipConfig:
         return cls(n=n if n is not None else default_blip_half_degree(dim))
 
 
+def _bipartite_block(data: np.ndarray) -> "np.ndarray | None":
+    """`data[0::2, 1::2]` of a single grid of order N >= 2 whose same-parity blocks are exactly zero; else None.
+
+    Sorted by parity, such a grid is [[0, B], [B*, 0]], with B this p x q
+    block, p = ceil(N/2).  Its eigenvalues are exactly +-sigma(B) and |p - q|
+    zeros (Jordan-Wielandt).  -0.0 counts as zero, NaN does not, and a
+    nonzero first diagonal entry, as at every w != 0, rejects the grid
+    before any block is scanned.
+    """
+    if len(data) < 2 or data[0, 0].any() or data[0::2, 0::2].any() or data[1::2, 1::2].any():
+        return None
+    return data[0::2, 1::2]
+
+
 def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack, given as `HermitianMatrix.data`.
 
     A quaternion grid is solved as its complex embedding, whose doubled
     eigenvalue pairs are checked and collapsed: each pair to 1e-8 of its own
     matrix's largest |eigenvalue| (at least 1), but to no more than half the
-    pair's own size (at least 1).  A single
-    complex grid or embedding of order at least `TWO_STAGE_MIN_ORDER` goes to
-    LAPACK's two-stage reduction where it is bound (`_lapack.eigvalsh_upper`),
-    which is handed only the upper triangle; a quaternion matrix's is written
-    straight from its components.  numpy solves everything else, a
-    quaternion grid as its whole embedding, built here.
+    pair's own size (at least 1).  A single grid that is exactly bipartite
+    (`_bipartite_block`) is solved from the singular values of its
+    off-diagonal block, a quaternion block's complex embedding, by LAPACK's
+    `gesdd` through `np.linalg.svd`: -sigma descending, the zeros, then
+    sigma ascending.  Any other single complex grid or embedding of order at
+    least `TWO_STAGE_MIN_ORDER` goes to LAPACK's two-stage reduction where it
+    is bound (`_lapack.eigvalsh_upper`), which is handed only the upper
+    triangle; a quaternion matrix's is written straight from its components.
+    numpy's `eigvalsh` solves everything else, a quaternion grid as its whole
+    embedding, built here.
     """
     quaternion = algebra is DivisionAlgebra.QUATERNION
     order = 2 * data.shape[-2] if quaternion else data.shape[-1]
-    large = data.ndim == (3 if quaternion else 2) and algebra is not DivisionAlgebra.REAL and order >= _lapack.TWO_STAGE_MIN_ORDER
+    single = data.ndim == (3 if quaternion else 2)
+    block = _bipartite_block(data) if single else None
+    large = single and algebra is not DivisionAlgebra.REAL and order >= _lapack.TWO_STAGE_MIN_ORDER
     try:
-        if large and _lapack.two_stage_routines() is not None:  # bound at the first large solve
+        if block is not None:
+            sigma = np.linalg.svd(embed_quaternion_blocks(block) if quaternion else block, compute_uv=False)
+            # 0.0 - sigma, not -sigma: a zero singular value gives +0.0
+            vals = np.concatenate((0.0 - sigma, np.zeros(order - 2 * len(sigma)), sigma[::-1]))
+        elif large and _lapack.two_stage_routines() is not None:  # bound at the first large solve
             write_upper = embed_quaternion_upper if quaternion else _lapack.copy_upper
             vals = _lapack.eigvalsh_upper(order, functools.partial(write_upper, data))
         else:

@@ -107,8 +107,7 @@ def test_embedding_doubles_every_eigenvalue():
 def _block_formula(comps):
     """The embedding written as complex arithmetic on whole components, signed zeros and all."""
     r, x, y, z = (comps[..., c] for c in range(4))
-    n = comps.shape[-2]
-    out = np.empty(comps.shape[:-3] + (2 * n, 2 * n), dtype=complex)
+    out = np.empty((*comps.shape[:-3], 2 * comps.shape[-3], 2 * comps.shape[-2]), dtype=complex)
     out[..., 0::2, 0::2] = r + 1j * x
     out[..., 0::2, 1::2] = y + 1j * z
     out[..., 1::2, 0::2] = -y + 1j * z
@@ -158,6 +157,19 @@ def test_embedding_differs_from_the_block_formula_only_in_zero_signs():
 def test_embedding_of_a_stack_is_the_block_formula():
     chunk = sample_hollow_chunk(HollowParams(k=5, algebra="quaternion", seed=2), 0, 40)
     assert embed_quaternion_blocks(chunk).tobytes() == _block_formula(chunk).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 7, 40])
+def test_embedding_of_a_rectangular_block_is_the_block_formula(dim):
+    # the p x q block of entries (even row, odd column), p = ceil(N/2), is the bipartite solver's input: its
+    # embedding is the formula's, and the even-row, odd-column blocks of the whole grid's embedding
+    data = random_hermitian(np.random.default_rng(dim), dim, DivisionAlgebra.QUATERNION).data
+    block, whole = data[0::2, 1::2], embed_quaternion_blocks(data)
+    embedded = embed_quaternion_blocks(block)
+    assert embedded.shape == (2 * ((dim + 1) // 2), 2 * (dim // 2))
+    assert embedded.tobytes() == _block_formula(block).tobytes()
+    pairs = np.arange(2 * dim).reshape(dim, 2)  # the embedding's two rows (or columns) of each grid row (or column)
+    assert embedded.tobytes() == whole[np.ix_(pairs[0::2].ravel(), pairs[1::2].ravel())].tobytes()
 
 
 def test_quaternion_components_are_a_read_only_view():

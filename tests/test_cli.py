@@ -262,9 +262,9 @@ _BULK = ["bulk", "--k", "2", "--N", "40", "--trials", "5", "--max-m", "4", "--se
 # (bulk with standard errors, oracle with none).
 _GOLDEN_TABLES = {
     "bulk": (_BULK, {
-        "eigenvalues.csv": "4ec8b3d7557776fcaf3dbe780506b326016f91ab51fcf1242b955abb4d39ad6a",
-        "moments.csv": "07893bf16d9b28d53bf1ed2617267e863e70afe2ffed6b8180555d87be2de3df",
-        "histogram.csv": "345e5ab71d0ccc035676d3c5abec4bcaf45ee67c614776dc3f3901964de40b1d",
+        "eigenvalues.csv": "ca8ae2d499defa2ba8679601318ac318baf0a5735fb793953cdbb2fa636ce9a7",
+        "moments.csv": "92ee28a7256672b9cef77e236f38c4e4c2e38477f0dcbe652c620360d49442bb",
+        "histogram.csv": "91534bd51bd62e8dc0ba2b1c58f82020c0bc5100ff42e285ca90385cefa23a24",
     }),
     "blip": (["blip", "--k", "2", "--N", "60", "--g", "6", "--seed", "3"], {
         "eigenvalues.csv": "637e5964fee86726ff3cb17ef21c39aa2854b8e2e32a007429730b7d8dc7975c",
@@ -272,7 +272,7 @@ _GOLDEN_TABLES = {
         "histogram.csv": "12af4a92b6b78aef7255a3726ae2e75724d419b1c7886134c89c6b1b46b3073c",
     }),
     "bulk-json": ([*_BULK, "--format", "json"], {
-        "moments.json": "4712bc1b4796740db28d4532b48167bc9f9504cd35f8b1bf1ec1166dec062457",
+        "moments.json": "d7e773917186f48270734afa2e05570d976a65099bc7881cca0a8ba862670f15",
     }),
     "oracle-json": (["oracle", "--k", "3", "--max-m", "8", "--format", "json"], {
         "moments.json": "627ed8d6aec435df99573b2275b6cff326d290ed5757f82da4ca3b28603ef222",
@@ -468,6 +468,8 @@ _REFUSED_RUNS = {
     "verify-identities-n": (["verify-identities", "--n", "4"],
                             "error: desk-scale evaluation requires dim <= 16 and n <= 3, got dim=8, n=4", False),
     "sample-no-trials": (["sample", "--trials", "0"], "error: trials must be positive, got 0", False),
+    "verify-identities-no-trials": (["verify-identities", "--trials", "0"], "error: trials must be positive, got 0",
+                                    False),
     # a negative count names its flag: verify-identities would otherwise check no matrix and pass
     "oracle-negative-max-m": (["oracle", "--max-m", "-1"], "error: max-m must be nonnegative, got -1", False),
     "verify-identities-negative-trials": (["verify-identities", "--trials", "-1"],

@@ -287,6 +287,85 @@ def test_trial_spectra_equal_serial_solves(algebra, threads, monkeypatch):
         assert np.array_equal(got.eigenvalues, expected.eigenvalues)
 
 
+def _whole_grid_eigenvalues(data, algebra):
+    """numpy's eigvalsh of a grid or stack, a quaternion one as its whole embedding, every other eigenvalue kept."""
+    if DivisionAlgebra.parse(algebra) is not DivisionAlgebra.QUATERNION:
+        return np.linalg.eigvalsh(data)
+    return np.linalg.eigvalsh(embed_quaternion_blocks(data))[..., 0::2]
+
+
+# k = 2, w = 0: every same-parity entry is zero.  Complex 416 and 417 and quaternion 208 and 209 are orders that the
+# two-stage solver would take.
+_BIPARTITE = [(algebra, dim) for algebra in ("real", "complex", "quaternion") for dim in (2, 3, 41, 200)]
+_BIPARTITE += [("complex", 416), ("complex", 417), ("quaternion", 208), ("quaternion", 209)]
+
+
+@pytest.mark.parametrize("algebra, dim", _BIPARTITE)
+def test_bipartite_grids_are_solved_from_singular_values(algebra, dim, monkeypatch):
+    matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, w=0.0, algebra=algebra, seed=dim), 0)
+    expected = _whole_grid_eigenvalues(matrix.data, algebra)
+
+    def refuse(*args):
+        raise AssertionError("a bipartite grid left the singular-value route")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(_lapack, "two_stage_routines", refuse)
+    vals = eigensolve(matrix).eigenvalues
+    assert vals.shape == (dim,)
+    assert np.abs(vals - expected).max() <= 1e-13 * np.abs(expected).max()
+    # |p - q| exact zeros, all +0.0: one at odd N, none at even N
+    assert np.count_nonzero(vals == 0.0) == np.count_nonzero((vals == 0.0) & ~np.signbit(vals)) == dim % 2
+
+
+@pytest.mark.parametrize("algebra", ["real", "complex", "quaternion"])
+def test_bipartite_trial_spectra_are_the_same_at_every_worker_count(algebra, monkeypatch):
+    params = CheckerboardParams(dim=41, k=2, w=0.0, algebra=algebra, seed=29)
+    pooled = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("CHECKERBOARD_THREADS", threads)
+        pooled[threads] = b"".join(s.eigenvalues.tobytes() for s in trial_spectra(params, range(5)))
+    assert pooled["1"] == pooled["2"] == pooled["3"]
+
+
+def _one_same_parity_entry(algebra, i, j):
+    """A k = 2, w = 0 grid with the same-parity entries (i, j) and (j, i) set to 0.5."""
+    data = sample_checkerboard(CheckerboardParams(dim=12, k=2, w=0.0, algebra=algebra, seed=5), 0).data.copy()
+    data[i, j] = data[j, i] = (0.5, 0.0, 0.0, 0.0) if algebra == "quaternion" else 0.5
+    return HermitianMatrix(data, algebra).data
+
+
+_NOT_BIPARTITE = {
+    "w=1": lambda algebra: sample_checkerboard(CheckerboardParams(dim=12, k=2, w=1.0, algebra=algebra, seed=5), 0).data,
+    "even-rows-entry": lambda algebra: _one_same_parity_entry(algebra, 0, 2),
+    "odd-rows-entry": lambda algebra: _one_same_parity_entry(algebra, 5, 11),
+    "k=3": lambda algebra: sample_checkerboard(CheckerboardParams(dim=12, k=3, w=0.0, algebra=algebra, seed=5), 0).data,
+    "hollow-k=2-stack": lambda algebra: sample_hollow_chunk(HollowParams(k=2, algebra=algebra, seed=5), 0, 16),
+    # all zeros, so read as one grid its even and odd rows' same-parity blocks would be zero
+    "hollow-k=1-stack": lambda algebra: sample_hollow_chunk(HollowParams(k=1, algebra=algebra, seed=5), 0, 16),
+}
+
+
+@pytest.mark.parametrize("grid", list(_NOT_BIPARTITE))
+@pytest.mark.parametrize("algebra", ["real", "complex", "quaternion"])
+def test_other_grids_never_reach_the_singular_value_route(algebra, grid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    data = _NOT_BIPARTITE[grid](algebra)
+    expected = _whole_grid_eigenvalues(data, algebra)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert _eigenvalues(data, DivisionAlgebra.parse(algebra)).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_kramers_check_holds_on_the_singular_value_route(monkeypatch):
+    # a bipartite N = 4 quaternion grid whose faked singular values 3, 3, 2, 1 split one pair: the spectrum
+    # -3, -3, -2, -1, 1, 2, 3, 3 fails the check at the first of the two split pairs it mirrors into
+    matrix = sample_checkerboard(CheckerboardParams(dim=4, k=2, w=0.0, algebra="quaternion"), 0)
+    monkeypatch.setattr(np.linalg, "svd", lambda block, compute_uv=True: np.array([3.0, 3.0, 2.0, 1.0]))
+    with pytest.raises(NumericalDegeneracyError, match=r"worst pair \(-2\.0, -1\.0\)$"):
+        _eigenvalues(matrix.data, DivisionAlgebra.QUATERNION)
+
+
 @pytest.mark.parametrize("algebra", ["real", "quaternion"])
 def test_failed_eigendecomposition_is_an_eigensolve_error(algebra, monkeypatch):
     def fail(grid):
@@ -398,11 +477,14 @@ def test_non_finite_spectrum_is_rejected(algebra):
 
 
 def test_kramers_check_names_the_worst_pair(monkeypatch):
-    # an "embedding" with eigenvalues 0, 0.001, 5, 6: both pairs split, the second by far more relative to its scale
+    # an "embedding" with eigenvalues 0, 0.001, 5, 6: both pairs split, the second by far more relative to its scale;
+    # the dummy grid's nonzero diagonal keeps it off the bipartite route, on the whole embedding's
     grid = np.diag([0.0, 1e-3, 5.0, 6.0]).astype(complex)
     monkeypatch.setattr(spectra, "embed_quaternion_blocks", lambda comps: grid)
+    dummy = np.zeros((2, 2, 4))
+    dummy[0, 0, 0] = 1.0
     with pytest.raises(NumericalDegeneracyError, match=r"worst pair \(5\.0, 6\.0\)$"):
-        _eigenvalues(np.zeros((2, 2, 4)), DivisionAlgebra.QUATERNION)
+        _eigenvalues(dummy, DivisionAlgebra.QUATERNION)
 
 
 @pytest.mark.parametrize(
