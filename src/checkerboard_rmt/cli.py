@@ -267,13 +267,6 @@ plot "histogram.csv" skip 2 using (0.5*($1+$2)):3:($2-$1) with boxes notitle
 """
 
 
-def emit_histogram_bundle(measure: AtomicMeasure, config: ExperimentConfig, artifacts: _Artifacts, value_range=None):
-    """Histogram CSV plus a gnuplot sidecar so the figure renders without the library."""
-    table = histogram(measure, config.bins, value_range)
-    artifacts.table("histogram", ("bin_lo", "bin_hi", "density"), (table.bin_lo, table.bin_hi, table.density), "csv")
-    artifacts.files.append(("histogram.gp", _SIDECAR.format(version=CSV_VERSION_LINE)))
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -301,12 +294,19 @@ def _eigenvalue_table(artifacts: _Artifacts, per_trial) -> None:
     artifacts.table("eigenvalues", ("trial", "index", "eigenvalue"), columns, "csv")
 
 
-def _moment_table(artifacts: _Artifacts, orders: np.ndarray, values: np.ndarray, stderrs, fmt: str) -> None:
-    """moments.csv (or .json): the m, value and stderr columns.
+def _measured_tables(artifacts: _Artifacts, config: ExperimentConfig, per_trial, moments, measure, value_range=None):
+    """eigenvalues.csv, moments.csv (or .json) and the histogram bundle of bulk, blip and hollow.
 
-    A None `stderrs` (one trial, or exact values) leaves every stderr cell empty.
+    The moment table's columns are m, value and stderr; a None stderr (one
+    trial) leaves every stderr cell empty.  The histogram CSV comes with a
+    gnuplot sidecar, so the figure renders without the library.
     """
-    artifacts.table("moments", ("m", "value", "stderr"), (orders, values, stderrs), fmt)
+    _eigenvalue_table(artifacts, per_trial)
+    orders = np.arange(config.max_m + 1)
+    artifacts.table("moments", ("m", "value", "stderr"), (orders, moments.values, moments.standard_errors), config.fmt)
+    table = histogram(measure, config.bins, value_range)
+    artifacts.table("histogram", ("bin_lo", "bin_hi", "density"), (table.bin_lo, table.bin_hi, table.density), "csv")
+    artifacts.files.append(("histogram.gp", _SIDECAR.format(version=CSV_VERSION_LINE)))
 
 
 def _checkerboard_params(config: ExperimentConfig) -> CheckerboardParams:
@@ -327,9 +327,7 @@ def _cmd_bulk(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
     measures = [bulk_measure(s) for s in spectra]
     moments = average_trial_moments(measures, config.max_m)
-    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
-    _moment_table(artifacts, np.arange(config.max_m + 1), moments.values, moments.standard_errors, config.fmt)
-    emit_histogram_bundle(average_measures(measures), config, artifacts)
+    _measured_tables(artifacts, config, [s.eigenvalues for s in spectra], moments, average_measures(measures))
     return {}, 0
 
 
@@ -363,9 +361,8 @@ def _cmd_blip(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     g, spectra, measures = _blip_trials(config, blip_cfg)
     center = float(config.k - 1)
     moments = average_trial_moments(measures, config.max_m, center=center)
-    _eigenvalue_table(artifacts, [s.eigenvalues for s in spectra])
-    _moment_table(artifacts, np.arange(config.max_m + 1), moments.values, moments.standard_errors, config.fmt)
-    emit_histogram_bundle(average_measures(measures), config, artifacts, value_range=default_blip_range(config.k))
+    eigenvalues, measure = [s.eigenvalues for s in spectra], average_measures(measures)
+    _measured_tables(artifacts, config, eigenvalues, moments, measure, default_blip_range(config.k))
     return {"g": g, "n": blip_cfg.n, "moment_center": center}, 0
 
 
@@ -375,9 +372,7 @@ def _cmd_hollow(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     eigs = hollow_eigenvalues(HollowParams(k=config.k, algebra=config.algebra, seed=config.seed), config.trials)
     moments = hollow_moments(eigs, config.max_m)
     measure = AtomicMeasure(eigs.ravel(), np.broadcast_to(1.0 / eigs.size, eigs.size))  # one weight, never copied
-    _eigenvalue_table(artifacts, eigs)
-    _moment_table(artifacts, np.arange(config.max_m + 1), moments.values, moments.standard_errors, config.fmt)
-    emit_histogram_bundle(measure, config, artifacts, value_range=default_blip_range(config.k))
+    _measured_tables(artifacts, config, eigs, moments, measure, default_blip_range(config.k))
     return {"ensemble": f"hollow-{config.algebra}"}, 0
 
 
@@ -385,7 +380,7 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     orders = [config.m] if config.m is not None else list(range(config.max_m + 1))
     exacts = [hollow_moment_oracle(config.k, m, config.algebra) for m in orders]
     values = [float(exact) for exact in exacts]
-    _moment_table(artifacts, np.array(orders), np.array(values), None, config.fmt)
+    artifacts.table("moments", ("m", "value", "stderr"), (np.array(orders), np.array(values), None), config.fmt)
     results = [{"m": m, "value": value, "exact": str(exact)} for m, value, exact in zip(orders, values, exacts)]
     artifacts.json("oracle", {"k": config.k, "algebra": config.algebra, "results": results})
     for r in results:
@@ -393,36 +388,31 @@ def _cmd_oracle(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     return {"orders": orders}, 0
 
 
+def _verdict(config: ExperimentConfig, artifacts: _Artifacts, records: dict, passed: bool, summary: str) -> int:
+    """A checking command's report.json (its records plus `passed`) and PASS/FAIL line; returns its exit status."""
+    artifacts.json("report", {**records, "passed": passed})
+    print(f"{config.command}: {'PASS' if passed else 'FAIL'} {summary}")
+    return 0 if passed else 1
+
+
+def _split_record(config: ExperimentConfig, trial: int, spectrum) -> dict:
+    """One verify-split trial: its regime counts, or the overlap that refused the split."""
+    try:
+        split = split_regimes(spectrum, config.k, config.w, config.exponent)
+    except RegimeOverlapError as exc:
+        return {"trial": trial, "ok": False, "error": str(exc)}
+    blip, bulk = int(split.blip_eigenvalues.size), int(split.bulk_eigenvalues.size)
+    ok = blip == config.k and bulk == config.dim - config.k
+    return {"trial": trial, "blip_count": blip, "bulk_count": bulk, "ok": ok}
+
+
 def _cmd_verify_split(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     _check_exponent(config.exponent)  # before anything is drawn
     spectra = trial_spectra(_checkerboard_params(config), range(config.trials))
-    per_trial = []
-    all_ok = True
-    for trial, spectrum in enumerate(spectra):
-        record = {"trial": trial}
-        try:
-            split = split_regimes(spectrum, config.k, config.w, config.exponent)
-            record["blip_count"] = int(split.blip_eigenvalues.size)
-            record["bulk_count"] = int(split.bulk_eigenvalues.size)
-            record["ok"] = record["blip_count"] == config.k and record["bulk_count"] == config.dim - config.k
-        except RegimeOverlapError as exc:
-            record["ok"] = False
-            record["error"] = str(exc)
-        all_ok = all_ok and record["ok"]
-        per_trial.append(record)
-    artifacts.json(
-        "report",
-        {
-            "command": "verify-split",
-            "config": _config_echo(config),
-            "threshold": float(config.dim**config.exponent),
-            "target": config.dim * config.w / config.k,
-            "per_trial": per_trial,
-            "passed": all_ok,
-        },
-    )
-    print(f"verify-split: {'PASS' if all_ok else 'FAIL'} over {config.trials} trials")
-    return {}, 0 if all_ok else 1
+    per_trial = [_split_record(config, trial, spectrum) for trial, spectrum in enumerate(spectra)]
+    threshold, target = float(config.dim**config.exponent), config.dim * config.w / config.k
+    records = {"threshold": threshold, "target": target, "per_trial": per_trial}
+    return {}, _verdict(config, artifacts, records, all(r["ok"] for r in per_trial), f"over {config.trials} trials")
 
 
 def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
@@ -452,13 +442,8 @@ def _cmd_verify_identities(config: ExperimentConfig, artifacts: _Artifacts) -> t
                     "ok": bool(err <= 1e-9),
                 }
             )
-    all_ok = all(c["ok"] for c in checks)
-    artifacts.json(
-        "report",
-        {"command": "verify-identities", "config": _config_echo(config), "checks": checks, "passed": all_ok},
-    )
-    print(f"verify-identities: {'PASS' if all_ok else 'FAIL'} ({len(checks)} checks)")
-    return {"n": blip_cfg.n}, 0 if all_ok else 1
+    status = _verdict(config, artifacts, {"checks": checks}, all(c["ok"] for c in checks), f"({len(checks)} checks)")
+    return {"n": blip_cfg.n}, status
 
 
 def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
@@ -468,7 +453,7 @@ def _cmd_compare(config: ExperimentConfig, artifacts: _Artifacts) -> tuple:
     averaged = average_measures(measures)
     centered = AtomicMeasure(averaged.locations - (config.k - 1), averaged.weights)
     report = compare_blip_to_hollow(centered, eigs, config.max_m)
-    artifacts.json("report", {"command": "compare", "config": _config_echo(config), **vars(report)})
+    artifacts.json("report", vars(report))
     print(
         "compare: moment distances "
         + ", ".join(f"m{m}={d:.4f}" for m, d in report.moment_distances.items())
@@ -499,24 +484,13 @@ _COMMAND_TABLE = {
 }
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    """Every field under its config-file key: the block works as a --config file for the same run."""
-    echo = {field.key: getattr(config, field.name) for field in _FIELDS}
-    echo["out"] = str(config.out)
-    return echo
-
-
 def run(config: ExperimentConfig) -> int:
     """Execute one command; writes all artifacts plus manifest.json, returns exit status."""
     artifacts = _Artifacts()
     derived, status = _COMMAND_TABLE[config.command].handler(config, artifacts)
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": config.command,
-        "config": _config_echo(config),
-        "derived": derived,
-    }
+    # every field under its config-file key: the block works as a --config file for the same run
+    echo = {field.key: getattr(config, field.name) for field in _FIELDS} | {"out": str(config.out)}
+    manifest = {"package_version": __version__, "command": config.command, "config": echo, "derived": derived}
     names = artifacts.write(config.out, manifest)
     print(f"wrote {len(names)} files to {config.out}")
     return status
@@ -557,7 +531,3 @@ def main(argv=None) -> int:
     except (CheckerboardError, OSError, MemoryError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

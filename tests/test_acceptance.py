@@ -186,3 +186,29 @@ def test_criterion_11_byte_identical_reruns(tmp_path, monkeypatch):
     identical = runs["a"] == {k.replace("-b/", "-a/"): v for k, v in runs["b"].items()}
     names = {k.split("/")[1] for k in runs["a"]}
     _verdict(11, "byte-identical reruns across worker counts", identical, f"CSV files compared: {sorted(names)}")
+
+
+def test_criterion_12_bulk_exact_finite_n_targets():
+    # at k = 2, w = 0 the grid sorted by parity is [[0, B], [B*, 0]], a chiral (Wishart) ensemble with exact
+    # finite-N moments: E m2 = 1/2, Var m2 = 2/(beta N^2) and E m4 = 1/2 + (2/beta - 1)/(2N)
+    dim, trials = 20, 4000
+    details, ok = [], True
+    for algebra, beta in (("real", 1), ("complex", 2), ("quaternion", 4)):
+        params = CheckerboardParams(dim=dim, k=2, w=0.0, algebra=algebra, seed=12)
+        table = np.array([measure_moments(bulk_measure(s), 4).values for s in trial_spectra(params, range(trials))])
+        m2, m4 = table[:, 2], table[:, 4]
+        var = m2.var(ddof=1)
+        central4 = np.mean((m2 - m2.mean()) ** 4)  # the sample variance's standard error comes from it
+        var_se = math.sqrt((central4 - var**2 * (trials - 3) / (trials - 1)) / trials)
+        m4_se = m4.std(ddof=1) / math.sqrt(trials)
+        m4_target = 0.5 + (2 / beta - 1) / (2 * dim)
+        z = {
+            "m2": (m2.mean() - 0.5) / (m2.std(ddof=1) / math.sqrt(trials)),
+            "Var m2": (var - 2 / (beta * dim**2)) / var_se,
+            "m4": (m4.mean() - m4_target) / m4_se,
+        }
+        limit_z = (m4.mean() - 0.5) / m4_se  # the N -> infinity limit, exact at every N for complex entries only
+        ok = ok and all(abs(v) <= 4.0 for v in z.values()) and (beta == 2 or abs(limit_z) > 4.0)
+        details.append(f"{algebra} " + ", ".join(f"{name} {v:+.2f} SE" for name, v in z.items())
+                       + f", m4 limit {limit_z:+.1f} SE")
+    _verdict(12, "exact finite-N bulk moments at k = 2, w = 0", ok, "; ".join(details))

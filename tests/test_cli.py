@@ -21,7 +21,7 @@ from checkerboard_rmt.cli import (
     run,
 )
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, sample_checkerboard
-from checkerboard_rmt.exceptions import CheckerboardError
+from checkerboard_rmt.exceptions import CheckerboardError, ParameterError
 from checkerboard_rmt.spectra import eigensolve, hollow_eigenvalues
 
 
@@ -436,6 +436,20 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_path.write_text(json.dumps({"mystery": 1}))
     assert _run_cli(["blip", "--config", cfg_path, "--out", tmp_path / "x"]) == 2
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"'])
+def test_config_file_must_hold_a_json_object(tmp_path, capsys, text):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(text)
+    assert _run_cli(["bulk", "--config", cfg_path, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == f"error: config file {cfg_path} must hold a JSON object\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_resolve_config_refuses_an_unknown_command():
+    with pytest.raises(ParameterError, match="^unknown command 'bogus'$"):
+        resolve_config("bogus", {})
 
 
 def test_config_file_rejects_badly_typed_values(tmp_path, capsys):
