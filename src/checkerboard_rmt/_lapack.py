@@ -99,12 +99,6 @@ def _leading_dimension(order: int) -> int:
     return -(-(order + 1) // step) * step - 1
 
 
-def copy_upper(grid: np.ndarray, out: np.ndarray) -> None:
-    """Copy the C-order upper triangle of a square grid, diagonal included, into `out`, one row at a time."""
-    for i in range(len(grid)):
-        out[i, i:] = grid[i, i:]
-
-
 def eigvalsh_upper(order: int, write_upper) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian grid whose upper triangle `write_upper(out)` writes.
 

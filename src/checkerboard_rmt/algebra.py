@@ -3,10 +3,9 @@
 Quaternion values are read as arrays with a trailing axis of length 4 holding
 the components (real, i, j, k).  A quaternion matrix holds its (N, N, 4)
 components; the eigensolver takes their standard embedding into a 2N x 2N
-complex matrix, written whole by `embed_quaternion_blocks` (which embeds any
-rectangular block of components too) or one triangle at a time by
-`embed_quaternion_upper`.  Only the arithmetic needed to build and
-diagonalize self-adjoint matrices is implemented.
+complex matrix, written by `embed_quaternion_blocks` alone, of a grid, a stack
+of grids or any rectangular block of components.  Only the arithmetic needed
+to build and diagonalize self-adjoint matrices is implemented.
 """
 
 from __future__ import annotations
@@ -126,11 +125,6 @@ class HermitianMatrix:
 _ODD_ROW = ((2, False), (3, True), (0, True), (1, False))
 
 
-def _block_rows(embedding: np.ndarray) -> np.ndarray:
-    """The float view (..., 2P, Q, 4) of complex grids (..., 2P, 2Q): row, block column, slot."""
-    return embedding.view(float).reshape(*embedding.shape[:-1], embedding.shape[-1] // 2, 4)
-
-
 def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
     """Map quaternion blocks (..., P, Q, 4) to complex blocks (..., 2P, 2Q).
 
@@ -146,7 +140,7 @@ def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
     """
     comps = np.asarray(comps, dtype=float)
     out = np.empty((*comps.shape[:-3], 2 * comps.shape[-3], 2 * comps.shape[-2]), dtype=complex)
-    rows = _block_rows(out)
+    rows = out.view(float).reshape(*out.shape[:-1], out.shape[-1] // 2, 4)  # row, block column, slot
     for c, (slot, negated) in enumerate(_ODD_ROW):
         even, odd = rows[..., 0::2, :, c], rows[..., 1::2, :, slot]
         even[...] = comps[..., c]
@@ -155,24 +149,3 @@ def embed_quaternion_blocks(comps: np.ndarray) -> np.ndarray:
         else:
             odd[...] = even
     return out
-
-
-def embed_quaternion_upper(comps: np.ndarray, out: np.ndarray) -> None:
-    """Write the C-order upper triangle, diagonal included, of `embed_quaternion_blocks(comps)` into `out`.
-
-    `comps` is one quaternion grid (N, N, 4) and `out` a (2N, 2N) complex
-    array.  Block row I fills its even row from block column I on and its odd
-    row from block column I + 1 on, plus the diagonal element (2I+1, 2I+1);
-    every slot takes the same value, bit for bit, as in the whole embedding,
-    and nothing of the strict lower triangle is written.
-    """
-    rows = _block_rows(out)
-    for i in range(len(comps)):
-        even, odd = rows[2 * i, i:], rows[2 * i + 1, i:]
-        even[...] = comps[i, i:]
-        for c, (slot, negated) in enumerate(_ODD_ROW):
-            start = 1 if slot < 2 else 0  # slots 0 and 1 of the odd row's first block are (2I+1, 2I), below the diagonal
-            if negated:
-                np.subtract(0.0, even[start:, c], out=odd[start:, slot])
-            else:
-                odd[start:, slot] = even[start:, c]

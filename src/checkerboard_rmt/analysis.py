@@ -66,7 +66,7 @@ def split_regimes(spectrum: Spectrum, k: int, w: float, exponent: float = 0.65) 
         offenders = np.concatenate([lam[both], lam[neither]])
         raise RegimeOverlapError(
             f"{both.sum()} eigenvalue(s) fit both regimes and {neither.sum()} fit neither "
-            f"(threshold {threshold:.3f}, target {target:.3f}); offenders: {offenders[:8]}"
+            f"(threshold {threshold:.3f}, target {target:.3f}); offenders: {offenders[:8].tolist()}"
         )
     return RegimeSplit(lam[in_blip], lam[in_bulk], target)
 

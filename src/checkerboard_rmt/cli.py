@@ -110,6 +110,8 @@ def _check_config(config) -> None:
         value = getattr(config, field.name)
         if field.name in ("trials", "max_m", "bins") and value < 0:
             raise ParameterError(f"{field.key} must be nonnegative, got {value}")
+        if field.kind is float and not math.isfinite(value):  # NaN and Infinity are not JSON: the manifest echoes them
+            raise ParameterError(f"{field.key} must be finite, got {value}")
     if config.g is not None and config.g < 1:  # a blip average over no matrices
         raise ParameterError(f"g must be positive, got {config.g}")
 

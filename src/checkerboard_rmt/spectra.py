@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _lapack
 from ._parallel import parallel_rows
-from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks, embed_quaternion_upper
+from .algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from .ensembles import BATCH_CHUNK, CheckerboardParams, HollowParams, _check_modulus, sample_checkerboard, sample_hollow_chunk
 from .exceptions import EigensolveError, NumericalDegeneracyError, ParameterError
 
@@ -46,6 +46,9 @@ __all__ = [
 _KRAMERS_RTOL = 1e-8
 _TRACE_RTOL = 1e-8
 _HISTOGRAM_BLOCK = 65_536  # numpy's np.histogram block
+# Block rows copied, and embedded, at a time into the two-stage buffer.  One quaternion N = 600 trial's peak RSS rose
+# 27.1-27.4 MiB at 16, as one block row at a time did (27.2-27.6), and 29.4-29.6 at 64, past 2.6 times its components.
+_UPPER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,17 @@ def _bipartite_block(data: np.ndarray) -> "np.ndarray | None":
     return data[0::2, 1::2]
 
 
+def _write_upper(data: np.ndarray, quaternion: bool, out: np.ndarray) -> None:
+    """Copy the C-order upper triangle, diagonal included, of a grid or its embedding, `_UPPER_BLOCK` block rows at a time."""
+    for start in range(0, len(data), _UPPER_BLOCK):
+        block = data[start : start + _UPPER_BLOCK, start:]
+        if quaternion:
+            block = embed_quaternion_blocks(block)
+        corner = 2 * start if quaternion else start  # block[0, 0] lands on out[corner, corner]
+        for r, row in enumerate(block):
+            out[corner + r, corner + r :] = row[r:]
+
+
 def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     """Ascending eigenvalues of a self-adjoint grid, or of each grid in a stack, given as `HermitianMatrix.data`.
 
@@ -141,10 +155,9 @@ def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
     `gesdd` through `np.linalg.svd`: -sigma descending, the zeros, then
     sigma ascending.  Any other single complex grid or embedding of order at
     least `TWO_STAGE_MIN_ORDER` goes to LAPACK's two-stage reduction where it
-    is bound (`_lapack.eigvalsh_upper`), which is handed only the upper
-    triangle; a quaternion matrix's is written straight from its components.
-    numpy's `eigvalsh` solves everything else, a quaternion grid as its whole
-    embedding, built here.
+    is bound (`_lapack.eigvalsh_upper`), handed only its upper triangle
+    (`_write_upper`).  numpy's `eigvalsh` solves everything else, a
+    quaternion grid as its whole embedding.
     """
     quaternion = algebra is DivisionAlgebra.QUATERNION
     order = 2 * data.shape[-2] if quaternion else data.shape[-1]
@@ -157,8 +170,7 @@ def _eigenvalues(data: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
             # 0.0 - sigma, not -sigma: a zero singular value gives +0.0
             vals = np.concatenate((0.0 - sigma, np.zeros(order - 2 * len(sigma)), sigma[::-1]))
         elif large and _lapack.two_stage_routines() is not None:  # bound at the first large solve
-            write_upper = embed_quaternion_upper if quaternion else _lapack.copy_upper
-            vals = _lapack.eigvalsh_upper(order, functools.partial(write_upper, data))
+            vals = _lapack.eigvalsh_upper(order, functools.partial(_write_upper, data, quaternion))
         else:
             vals = np.linalg.eigvalsh(embed_quaternion_blocks(data) if quaternion else data)
     except np.linalg.LinAlgError as exc:

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from checkerboard_rmt.algebra import (
-    DivisionAlgebra,
-    HermitianMatrix,
-    embed_quaternion_blocks,
-    embed_quaternion_upper,
-)
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from checkerboard_rmt.ensembles import CheckerboardParams, HollowParams, sample_checkerboard, sample_hollow_chunk
 from checkerboard_rmt.exceptions import DimensionError, HermitianInvariantError
+from checkerboard_rmt.spectra import _write_upper
 
 from helpers import conjugate_transpose, random_hermitian
 
@@ -115,11 +111,11 @@ def _block_formula(comps):
     return out
 
 
-def _assert_upper_triangle_is_the_embeddings(comps):
-    """`embed_quaternion_upper` writes the whole embedding's upper triangle bit for bit, and nothing below it."""
-    whole = embed_quaternion_blocks(comps)
+def _assert_upper_triangle_is_the_embeddings(data, quaternion=True):
+    """`_write_upper` writes the whole embedding's (or complex grid's) upper triangle bit for bit, and nothing below it."""
+    whole = embed_quaternion_blocks(data) if quaternion else data
     upper = np.full(whole.shape, complex(np.nan, np.nan))
-    embed_quaternion_upper(comps, upper)
+    _write_upper(data, quaternion, upper)
     above = np.triu(np.ones(whole.shape, dtype=bool))
     assert upper[above].tobytes() == whole[above].tobytes()
     assert np.isnan(upper[~above].view(float)).all()
@@ -136,6 +132,14 @@ def test_held_components_embed_to_the_block_formula(dim, k, w, dist):
     for matrix in (sampled, built):
         assert embed_quaternion_blocks(matrix.data).tobytes() == _block_formula(matrix.data).tobytes()
         _assert_upper_triangle_is_the_embeddings(matrix.data)
+
+
+@pytest.mark.parametrize("dim", [1, 15, 16, 17, 417])
+def test_complex_upper_triangle_is_the_grids(dim):
+    # one block row short of, exactly at and one past a 16-row block, and a ragged last block at a two-stage order
+    data = random_hermitian(np.random.default_rng(dim), dim, DivisionAlgebra.COMPLEX).data
+    _assert_upper_triangle_is_the_embeddings(data, quaternion=False)
+    _assert_upper_triangle_is_the_embeddings(-data, quaternion=False)
 
 
 def test_embedding_differs_from_the_block_formula_only_in_zero_signs():

@@ -57,6 +57,17 @@ def test_split_degenerate_overlap():
         split_regimes(spectrum, 6, 1.0, 0.65)
 
 
+def test_split_overlap_names_its_offenders_on_one_line():
+    # 20 offenders at N = 20 and exponent 0.9: the first 8 as Python floats, whatever numpy's print options
+    spectrum = eigensolve(sample_checkerboard(CheckerboardParams(dim=20, k=3, w=1.0, seed=6), 0))
+    with np.printoptions(linewidth=20), pytest.raises(RegimeOverlapError) as caught:
+        split_regimes(spectrum, 3, 1.0, 0.9)
+    message = str(caught.value)
+    assert "\n" not in message
+    offenders = message.split("offenders: ")[1]
+    assert offenders == repr(spectrum.eigenvalues[:8].tolist())
+
+
 def test_split_exponent_validation():
     spectrum = eigensolve(congruence_indicator_matrix(12, 3, 1.0))
     with pytest.raises(ParameterError):

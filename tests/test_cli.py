@@ -366,6 +366,14 @@ def test_verify_split_fails_when_regimes_collide(tmp_path):
     assert any("error" in t for t in report["per_trial"])
 
 
+def test_failed_split_reports_each_overlap_on_one_line(tmp_path):
+    out = tmp_path / "split-bad"
+    argv = ["verify-split", "--k", "3", "--N", "20", "--trials", "3", "--exponent", "0.9", "--seed", "6", "--out", out]
+    assert _run_cli(argv) == 1
+    errors = [t["error"] for t in json.loads(_read(out / "report.json"))["per_trial"]]
+    assert len(errors) == 3 and not any("\n" in error for error in errors)
+
+
 def test_compare_command(tmp_path):
     out = tmp_path / "compare"
     status = _run_cli(
@@ -476,7 +484,11 @@ _REFUSED_RUNS = {
     "verify-split-exponent": (["verify-split", "--exponent", "2"], "error: exponent must lie in (0.5, 1), got 2.0",
                               False),
     "verify-split-nan-exponent": (["verify-split", "--exponent", "nan", "--algebra", "complex"],
-                                  "error: exponent must lie in (0.5, 1), got nan", False),
+                                  "error: exponent must be finite, got nan", False),
+    # every command refuses a value its manifest.json could not hold as JSON, whether it reads the field or not
+    "oracle-nan-w": (["oracle", "--w", "nan"], "error: w must be finite, got nan", False),
+    "hollow-inf-exponent": (["hollow", "--exponent", "inf"], "error: exponent must be finite, got inf", False),
+    "hollow-config-nan-w": (["hollow", "--config", "nan-w.json"], "error: w must be finite, got nan", False),
     "verify-identities-N": (["verify-identities", "--N", "17"],
                             "error: desk-scale evaluation requires dim <= 16 and n <= 3, got dim=17, n=2", False),
     "verify-identities-n": (["verify-identities", "--n", "4"],
@@ -541,6 +553,8 @@ def test_refused_runs_end_in_one_error_line(tmp_path, capsys, monkeypatch, recwa
     def refuse(params, trial):
         raise AssertionError("sample_checkerboard drew before the refusal")
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan-w.json").write_text('{"w": NaN}')  # json.loads reads NaN, though it is not JSON
     if not drawn:
         for name in ("trial_spectra", "hollow_eigenvalues"):
             monkeypatch.setattr(cli, name, refuse_only(getattr(cli, name)))

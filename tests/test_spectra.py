@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from checkerboard_rmt import _lapack, spectra
-from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks, embed_quaternion_upper
+from checkerboard_rmt.algebra import DivisionAlgebra, HermitianMatrix, embed_quaternion_blocks
 from checkerboard_rmt.cli import main
 from checkerboard_rmt.ensembles import (
     BATCH_CHUNK,
@@ -94,7 +94,7 @@ def _skip_unless_bound():
 
 @pytest.mark.parametrize("algebra, dim", [("complex", 416), ("quaternion", 208), ("quaternion", 300)])
 def test_two_stage_solve_takes_the_upper_triangle_alone(algebra, dim, monkeypatch):
-    # LAPACK reads one triangle: handed only that, written from the components for a quaternion matrix with no
+    # LAPACK reads one triangle: handed only that, embedded for a quaternion matrix 16 block rows at a time with no
     # whole embedding built, it gives the same bits as the whole grid copied into its buffer
     _skip_unless_bound()
     matrix = sample_checkerboard(CheckerboardParams(dim=dim, k=2, algebra=algebra, seed=dim), 0)
@@ -102,8 +102,10 @@ def test_two_stage_solve_takes_the_upper_triangle_alone(algebra, dim, monkeypatc
     grid = embed_quaternion_blocks(matrix.data) if quaternion else matrix.data
     whole = _lapack.eigvalsh_upper(len(grid), lambda out: np.copyto(out, grid))
 
-    def refuse(*args):
-        raise AssertionError("the two-stage path built a whole embedding")
+    def refuse(comps):
+        if len(comps) > 16:
+            raise AssertionError("the two-stage path built a whole embedding")
+        return embed_quaternion_blocks(comps)
 
     monkeypatch.setattr(spectra, "embed_quaternion_blocks", refuse)
     assert eigensolve(matrix).eigenvalues.tobytes() == (whole[0::2] if quaternion else whole).tobytes()
@@ -123,7 +125,7 @@ def test_two_stage_triangle_rows_start_on_pages(algebra, dim):
         lda = out.strides[0] // 16
         assert lda >= order
         assert all((out.ctypes.data + 16 * i * (lda + 1)) % mmap.PAGESIZE == 0 for i in range(order))
-        (embed_quaternion_upper if quaternion else _lapack.copy_upper)(matrix.data, out)
+        spectra._write_upper(matrix.data, quaternion, out)
 
     vals = _lapack.eigvalsh_upper(order, write_upper)
     expected = np.linalg.eigvalsh(embed_quaternion_blocks(matrix.data) if quaternion else matrix.data)
